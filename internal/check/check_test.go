@@ -9,6 +9,7 @@ import (
 
 	"godsm/internal/core"
 	"godsm/internal/netsim"
+	"godsm/internal/sim"
 	"godsm/internal/vm"
 )
 
@@ -269,6 +270,35 @@ func TestDifferentialTransportMem(t *testing.T) {
 	}
 	if want := 1 + 6; len(res.Runs) != want {
 		t.Fatalf("ran %d runs, want %d", len(res.Runs), want)
+	}
+	ref := res.Runs[0]
+	for _, r := range res.Runs[1:] {
+		if r.Checksum != ref.Checksum || r.Epochs != ref.Epochs {
+			t.Errorf("%v %s over mem: checksum %#x epochs %d, reference %#x/%d",
+				r.Protocol, r.Variant, r.Checksum, r.Epochs, ref.Checksum, ref.Epochs)
+		}
+	}
+}
+
+func TestDifferentialTransportMemDelayDup(t *testing.T) {
+	// Delayed and duplicated frames leave the sender on a timer, after its
+	// next send has reused the buffer they were encoded in (netsim's
+	// sendReal). Nothing is dropped, so every fault here takes one of
+	// those timer paths; a frame that did not get its own copy arrives
+	// carrying a later message.
+	plan := &netsim.FaultPlan{Seed: 9, Rules: []netsim.FaultRule{{
+		From: netsim.AnyNode, To: netsim.AnyNode,
+		Dup: 0.3, Reorder: 0.5, Delay: 300 * sim.Microsecond,
+	}}}
+	res, err := Differential(stencilBody(32, 64, 3, 1), Options{
+		Procs:        4,
+		SegmentBytes: 2 * 32 * 64 * 8,
+		Protocols:    []core.ProtocolKind{core.ProtoLmwI, core.ProtoBarU},
+		Plans:        []*netsim.FaultPlan{plan},
+		Transport:    "mem",
+	})
+	if err != nil {
+		t.Fatalf("differential over mem with delay+dup failed: %v\n%s", err, res.Report)
 	}
 	ref := res.Runs[0]
 	for _, r := range res.Runs[1:] {

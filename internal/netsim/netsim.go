@@ -89,6 +89,9 @@ type Net struct {
 
 	// tr carries frames for real delivery (SetTransport); nil in sim mode.
 	tr transport.Transport
+	// scratch is each sending node's reused frame-encode buffer on the
+	// real-transport send path (see sendReal).
+	scratch [][]byte
 	// encodeInFlight round-trips every remote packet through the wire
 	// codec under virtual time (EncodeInFlight); snapshots holds each
 	// in-flight packet's Send-time encoding, keyed by the decoded copy

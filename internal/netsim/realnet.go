@@ -31,6 +31,7 @@ func (n *Net) SetTransport(tr transport.Transport) error {
 		return fmt.Errorf("netsim: transport requires a realtime kernel")
 	}
 	n.tr = tr
+	n.scratch = make([][]byte, n.nodes)
 	return tr.Start(n.deliverFrame)
 }
 
@@ -87,9 +88,9 @@ func (n *Net) verifyAtDelivery(m *sim.Message) {
 	}
 }
 
-// encodeFrame renders pkt as a wire frame. Encoding failure is a
+// appendFrame appends pkt's wire frame to buf. Encoding failure is a
 // protocol-level bug (unknown kind or payload type), not an I/O fault.
-func encodeFrame(pkt *Packet) ([]byte, error) {
+func appendFrame(buf []byte, pkt *Packet) ([]byte, error) {
 	h := wire.Header{
 		Kind:     pkt.Kind,
 		FromNode: pkt.FromNode,
@@ -100,8 +101,12 @@ func encodeFrame(pkt *Packet) ([]byte, error) {
 		Rid:      pkt.Rid,
 		Orig:     pkt.Orig,
 	}
-	return wire.AppendFrame(nil, &h, pkt.Data)
+	return wire.AppendFrame(buf, &h, pkt.Data)
 }
+
+// encodeFrame renders pkt as a freshly allocated wire frame, for callers
+// that keep it (the EncodeInFlight snapshots).
+func encodeFrame(pkt *Packet) ([]byte, error) { return appendFrame(nil, pkt) }
 
 // packetFromFrame rebuilds the receiver-side Packet from a decoded frame.
 func packetFromFrame(h wire.Header, data any) *Packet {
@@ -143,8 +148,15 @@ func (n *Net) outbound(pkt *Packet) *Packet {
 // sendReal ships one remote packet over the transport, applying the fault
 // plan before the frame leaves (injected faults and real socket behaviour
 // compose; both are recovered by the reliability layer).
+//
+// The frame is encoded into the sending node's scratch buffer, which the
+// node's next send overwrites: transport.Send never retains its argument,
+// so the only per-frame allocation on this path is the copy the backend
+// makes for the receiver. One runner per node (sim.SetExclusive) makes the
+// scratch, like Traffic and FrameBytes, safe without a lock.
 func (n *Net) sendReal(from *sim.Proc, fromNode int, fromPort Port, node int, port Port, pkt *Packet) {
-	frame, err := encodeFrame(pkt)
+	frame, err := appendFrame(n.scratch[fromNode][:0], pkt)
+	n.scratch[fromNode] = frame
 	if err != nil {
 		n.m.encodeErrs.Inc()
 		n.K.Cancel(fmt.Errorf("netsim: encode kind %d: %w", pkt.Kind, err))
@@ -152,7 +164,6 @@ func (n *Net) sendReal(from *sim.Proc, fromNode int, fromPort Port, node int, po
 	}
 	src := transport.Addr{Node: fromNode, Port: int(fromPort)}
 	dst := transport.Addr{Node: node, Port: int(port)}
-	ship := func() { _ = n.tr.Send(src, dst, frame) }
 
 	var extra sim.Duration
 	if n.fi != nil && !pkt.NoFault {
@@ -174,16 +185,24 @@ func (n *Net) sendReal(from *sim.Proc, fromNode int, fromPort Port, node int, po
 			n.FrameBytes[fromNode] += int64(len(frame))
 			// The duplicate trails the original by the jitter; under real
 			// time the modeled jitter becomes a real timer.
-			time.AfterFunc(time.Duration(extra+n.fi.dupJitter(fromNode)), ship)
+			n.shipAfter(extra+n.fi.dupJitter(fromNode), src, dst, frame)
 		}
 	}
 	n.count(fromNode, pkt)
 	n.FrameBytes[fromNode] += int64(len(frame))
 	if extra > 0 {
-		time.AfterFunc(time.Duration(extra), ship)
+		n.shipAfter(extra, src, dst, frame)
 		return
 	}
-	ship()
+	_ = n.tr.Send(src, dst, frame)
+}
+
+// shipAfter sends frame once d has passed. The timer outlives the call
+// that encoded the frame, so it carries a private copy rather than the
+// sender's scratch.
+func (n *Net) shipAfter(d sim.Duration, src, dst transport.Addr, frame []byte) {
+	held := bytes.Clone(frame)
+	time.AfterFunc(time.Duration(d), func() { _ = n.tr.Send(src, dst, held) })
 }
 
 // deliverFrame is the transport's receive callback: decode, rebuild the

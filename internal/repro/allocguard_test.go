@@ -26,9 +26,9 @@ func benchBaseline(t *testing.T) *BenchFile {
 }
 
 // TestAllocGuard holds the hot-path allocation counts to the checked-in
-// BENCH_sweep.json: re-measure the diff-codec and wire-codec
-// microbenchmarks and fail if any reports more allocs/op than the
-// baseline. Counts are near-deterministic but can drift fractionally
+// BENCH_sweep.json: re-measure the diff-codec, wire-codec and
+// real-transport send microbenchmarks and fail if any reports more
+// allocs/op than the baseline. Counts are near-deterministic but can drift fractionally
 // (slice-growth amortization straddling the measured loop), so the guard
 // trips only on at least half an extra alloc per op — a real new alloc on
 // a hot path shifts the count by a full unit. When an alloc is shed

@@ -6,9 +6,12 @@ import (
 	"io"
 	"time"
 
+	"godsm/internal/cost"
+	"godsm/internal/netsim"
 	"godsm/internal/sim"
 	"godsm/internal/stats"
 	"godsm/internal/sweep"
+	"godsm/internal/transport"
 	"godsm/internal/vm"
 	"godsm/internal/wire"
 )
@@ -197,11 +200,13 @@ func measureDiffMicro() []BenchMicro {
 	return micro
 }
 
-// measureWireMicro samples the frame codec's hot paths — the per-remote-
-// message encode and decode a real transport puts on every send and
-// receive. Same frames BenchmarkWireCodec guards: a two-diff update flush
-// and a full 8 KiB page reply. Encode reuses the caller's buffer and must
-// stay allocation-free.
+// measureWireMicro samples the per-remote-message hot paths a real
+// transport puts on every send and receive: the frame codec's encode and
+// decode, and netsim's send over mem. Same frames BenchmarkWireCodec
+// guards — a two-diff update flush and a full 8 KiB page reply — plus a
+// barrier arrival on the send rows. Encode reuses the caller's buffer and
+// must stay allocation-free; a send must stay at the one allocation that
+// is the receiver's copy.
 func measureWireMicro() []BenchMicro {
 	const iters = 2000
 	old := make([]byte, 8192)
@@ -209,6 +214,11 @@ func measureWireMicro() []BenchMicro {
 	for i := 0; i < len(cur); i += 512 {
 		cur[i] = byte(i/512 + 1)
 	}
+	arrive := &wire.BarArrive{From: 3, Site: 1, Seq: 12, Proto: &wire.BarArrivalBar{
+		Versions: []wire.PageVersion{{Page: 7, Version: 3}, {Page: 8, Version: 3}},
+		Written:  []vm.PageID{7, 8},
+	}}
+	ah := wire.Header{Kind: wire.KindBarArrive, FromNode: 3, Size: 56, Rid: 9, Orig: 3}
 	flush := &wire.UpdateFlush{Epoch: 4, Diffs: []wire.DiffMsg{
 		{Notice: wire.WriteNotice{Page: 3, Creator: 1, Epoch: 4}, Diff: vm.MakeDiff(3, old, cur)},
 		{Notice: wire.WriteNotice{Page: 7, Creator: 2, Epoch: 4}, Diff: vm.MakeDiff(7, old, cur)},
@@ -218,11 +228,7 @@ func measureWireMicro() []BenchMicro {
 	rh := wire.Header{Kind: wire.KindPageRep, FromNode: 1, Reply: true, Size: 8192}
 
 	var micro []BenchMicro
-	for _, tc := range []struct {
-		id   string
-		h    wire.Header
-		data any
-	}{
+	for _, tc := range []microFrame{
 		{"updateflush", fh, flush},
 		{"pagerep-8k", rh, rep},
 	} {
@@ -251,7 +257,63 @@ func measureWireMicro() []BenchMicro {
 			AllocsPerOp: p.AllocsPerOp, BytesPerOp: p.BytesPerOp,
 		})
 	}
+
+	return append(micro, measureSendReal(iters, []microFrame{
+		{"ctl", ah, arrive},
+		{"flush", fh, flush},
+		{"page", rh, rep},
+	})...)
+}
+
+// microFrame is one frame shape the wire micro rows are measured on.
+type microFrame struct {
+	id   string
+	h    wire.Header
+	data any
+}
+
+// measureSendReal samples netsim's remote send over mem on each frame
+// shape. The loop runs as node 0's compute proc on a realtime kernel, the
+// way the engine sends: encode into the node's scratch, hand the frame to
+// the backend, whose pump drains the queue behind the sender.
+func measureSendReal(iters int, frames []microFrame) []BenchMicro {
+	var micro []BenchMicro
+	k := sim.NewRealtimeKernel()
+	nt := netsim.New(k, 2, cost.Default())
+	nt.Bind(0, netsim.PortCompute, "sender", func(p *sim.Proc) {
+		for _, f := range frames {
+			pkt := &netsim.Packet{Kind: f.h.Kind, Size: f.h.Size, Reply: f.h.Reply,
+				Rid: f.h.Rid, Orig: f.h.Orig, Data: f.data}
+			send := func() { nt.Send(p, 1, netsim.PortService, pkt) }
+			send() // grows the scratch to this shape
+			pt := stats.MeasureLoop(iters, send)
+			micro = append(micro, BenchMicro{
+				RunID: "micro/netsim/send-real/" + f.id, NsPerOp: pt.NsPerOp,
+				AllocsPerOp: pt.AllocsPerOp, BytesPerOp: pt.BytesPerOp,
+			})
+		}
+	})
+	nt.Bind(1, netsim.PortService, "sink", func(*sim.Proc) {})
+	mem, err := transport.New(transport.KindMem, 2, netsim.NumPorts)
+	if err != nil {
+		panic(err)
+	}
+	defer mem.Close()
+	if err := nt.SetTransport(sendOnly{mem}); err != nil {
+		panic(err)
+	}
+	if err := k.Run(); err != nil {
+		panic(err)
+	}
 	return micro
+}
+
+// sendOnly cuts a backend's receive side off: frames are queued, pumped
+// and dropped, so the send rows count the sender's allocations alone.
+type sendOnly struct{ transport.Transport }
+
+func (s sendOnly) Start(transport.DeliverFunc) error {
+	return s.Transport.Start(func(transport.Addr, []byte) {})
 }
 
 // WriteBenchJSON runs BenchSweep and writes the indented JSON document.

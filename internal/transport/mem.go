@@ -20,7 +20,14 @@ type memTransport struct {
 	closed       chan struct{}
 }
 
-const memQueueDepth = 4096
+// memQueueDepth is each endpoint's channel capacity. The pump moves
+// frames straight into the receiver's unbounded mailbox and never waits
+// on a sender, so the queue only has to absorb the frames that arrive
+// between two schedulings of the pump goroutine; a sender that outruns it
+// blocks in Send until the pump catches up. Every slot is zeroed at
+// construction and a run builds one queue per endpoint, so a depth sized
+// for a backlog that cannot form is paid for on every run.
+const memQueueDepth = 64
 
 func newMem(nodes, ports int) *memTransport {
 	t := &memTransport{
@@ -69,6 +76,9 @@ func (t *memTransport) Start(deliver DeliverFunc) error {
 }
 
 func (t *memTransport) Send(from, to Addr, frame []byte) error {
+	if _, err := t.idx(from); err != nil {
+		return err
+	}
 	i, err := t.idx(to)
 	if err != nil {
 		return err

@@ -20,9 +20,17 @@
 //
 // A frame is an opaque []byte produced by wire.AppendFrame (4-byte length
 // prefix + varint header + payload). The transport never inspects frame
-// contents; it only moves bytes. Send does not retain the caller's slice
-// past the call — every backend copies or writes to the socket before
-// returning.
+// contents; it only moves bytes.
+//
+// Ownership, in the order a frame travels. The sender encodes into a
+// scratch buffer it overwrites on its next send (netsim.sendReal keeps one
+// per node). Send does not retain the caller's slice past the call: mem
+// copies it, udp appends it to a batch or to its datagram scratch, tcp
+// appends it to the pair's pending buffer — all before returning. The
+// frame a backend passes to DeliverFunc is the receiver's outright, and
+// the message wire.DecodeFrame builds from it aliases it. A caller that
+// needs a frame to outlive Send's return (netsim's delayed and duplicated
+// frames, which leave on a timer) copies it first.
 package transport
 
 import (
