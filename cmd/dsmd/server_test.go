@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -242,10 +243,35 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestCancelMidRun aborts a full-size run mid-flight over the API.
+// simProcGoroutines counts the goroutines hosting a simulator proc body.
+// Counting them by frame, not runtime.NumGoroutine, keeps the HTTP client's
+// and server's connection goroutines out of the comparison.
+func simProcGoroutines() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "sim.(*Proc).host(")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// TestCancelMidRun aborts a full-size run mid-flight over the API: the
+// session ends cancelled, and none of the run's sixteen procs (compute and
+// service per node), parked mid-body when the DELETE lands, outlives it.
 func TestCancelMidRun(t *testing.T) {
 	_, ts := newTestServer(t, config{workers: 1, queueCap: 4})
+	if n := simProcGoroutines(); n != 0 {
+		t.Fatalf("%d simulator procs alive before the launch", n)
+	}
 	doc := launch(t, ts, runRequest{App: "barnes", Proto: "bar-u", Procs: 8})
+	for deadline := time.Now().Add(time.Minute); simProcGoroutines() < 16; {
+		if time.Now().After(deadline) {
+			t.Fatal("the run never started its procs")
+		}
+		time.Sleep(time.Millisecond)
+	}
 
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/runs/"+doc.ID, nil)
 	resp, err := http.DefaultClient.Do(req)
@@ -262,6 +288,12 @@ func TestCancelMidRun(t *testing.T) {
 	}
 	if final.Report != nil {
 		t.Fatal("cancelled run produced a report")
+	}
+	for deadline := time.Now().Add(5 * time.Second); simProcGoroutines() > 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d simulator procs still alive after the cancelled run", simProcGoroutines())
+		}
+		time.Sleep(time.Millisecond)
 	}
 	// The SSE stream of a cancelled session still terminates with done.
 	_, sseFinal := readSSE(t, ts, doc.ID, "?kinds=bar-release")

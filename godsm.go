@@ -146,10 +146,9 @@ func Run(cfg Config, body func(*Proc)) (*Report, error) {
 }
 
 // RunContext is Run with cancellation: when ctx is cancelled mid-run the
-// simulation stops at its next event and ctx's error is returned.
-// Cancellation is for shutting down (SIGINT on a sweep), not for running
-// many aborted simulations in a loop — a cancelled run's simulated
-// process goroutines stay parked until process exit.
+// simulation stops at its next event and ctx's error is returned. A
+// cancelled run unwinds its simulated processes before returning, so a
+// long-lived process can abort runs freely.
 func RunContext(ctx context.Context, cfg Config, body func(*Proc)) (*Report, error) {
 	return core.RunContext(ctx, cfg, body)
 }

@@ -131,10 +131,9 @@ func Run(cfg Config, body func(*Proc)) (*Report, error) {
 
 // RunContext is Run with cancellation: when ctx is cancelled mid-run the
 // simulation stops at its next event and ctx's error is returned. Like a
-// failed run, a cancelled one parks its simulated processes' goroutines
-// (they are unwound only by process exit), so cancellation is for
-// shutting down — SIGINT on a sweep — not for running many aborted
-// simulations in a loop.
+// failed run, a cancelled one unwinds its simulated processes before it
+// returns (sim.Kernel.Run), so aborted runs leave nothing behind in a
+// long-lived process.
 func RunContext(ctx context.Context, cfg Config, body func(*Proc)) (*Report, error) {
 	start := time.Now()
 	rep, err := runContext(ctx, cfg, body)
@@ -294,7 +293,8 @@ func runContext(ctx context.Context, cfg Config, body func(*Proc)) (*Report, err
 	if dctx := ctx.Done(); dctx != nil {
 		// Watch for cancellation on a side goroutine; the kernel polls the
 		// flag between events. done keeps the watcher from outliving the
-		// run (and from holding ctx alive).
+		// run (and from holding ctx alive), a body's panic passing through
+		// Run included.
 		done := make(chan struct{})
 		go func() {
 			select {
@@ -303,8 +303,10 @@ func runContext(ctx context.Context, cfg Config, body func(*Proc)) (*Report, err
 			case <-done:
 			}
 		}()
-		kerr = clu.kern.Run()
-		close(done)
+		kerr = func() error {
+			defer close(done)
+			return clu.kern.Run()
+		}()
 	} else {
 		kerr = clu.kern.Run()
 	}

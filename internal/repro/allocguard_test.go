@@ -26,8 +26,8 @@ func benchBaseline(t *testing.T) *BenchFile {
 }
 
 // TestAllocGuard holds the hot-path allocation counts to the checked-in
-// BENCH_sweep.json: re-measure the diff-codec, wire-codec and
-// real-transport send microbenchmarks and fail if any reports more
+// BENCH_sweep.json: re-measure the diff-codec, wire-codec, real-transport
+// send and DES-kernel microbenchmarks and fail if any reports more
 // allocs/op than the baseline. Counts are near-deterministic but can drift fractionally
 // (slice-growth amortization straddling the measured loop), so the guard
 // trips only on at least half an extra alloc per op — a real new alloc on
@@ -40,10 +40,7 @@ func TestAllocGuard(t *testing.T) {
 	for _, m := range base.Micro {
 		want[m.RunID] = m.AllocsPerOp
 	}
-	var micro []BenchMicro
-	micro = append(micro, measureDiffMicro()...)
-	micro = append(micro, measureWireMicro()...)
-	for _, m := range micro {
+	for _, m := range measureMicro() {
 		baseline, ok := want[m.RunID]
 		if !ok {
 			// A benchmark the baseline predates: report, don't fail —

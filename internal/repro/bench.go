@@ -146,13 +146,21 @@ func (r *Runner) BenchSweep() (*BenchFile, error) {
 			ProbeDrops:     rep.Total.ProbeDrops,
 		})
 	}
-	out.Micro = measureDiffMicro()
-	out.Micro = append(out.Micro, measureWireMicro()...)
+	out.Micro = measureMicro()
 	return out, nil
 }
 
+// measureMicro samples every microbenchmark family the bench export and
+// the allocation guard share. Run after the sweep so no worker is
+// allocating concurrently.
+func measureMicro() []BenchMicro {
+	micro := measureDiffMicro()
+	micro = append(micro, measureWireMicro()...)
+	return append(micro, measureSimMicro()...)
+}
+
 // measureDiffMicro samples the diff-codec hot paths the allocation diet
-// targeted. Run after the sweep so no worker is allocating concurrently.
+// targeted.
 func measureDiffMicro() []BenchMicro {
 	const iters = 2000
 	old := make([]byte, 8192)
@@ -305,6 +313,63 @@ func measureSendReal(iters int, frames []microFrame) []BenchMicro {
 	if err := k.Run(); err != nil {
 		panic(err)
 	}
+	return micro
+}
+
+// measureSimMicro samples the DES kernel's two per-event paths, metered
+// from inside a run the way measureSendReal is. advance: eight procs step
+// in lockstep, so each Advance of the metering proc spans one Advance — a
+// heap push and pop and a switch out of and back into a proc — of all
+// eight; events sit in the heap by value, so it allocates nothing.
+// send-recv: a two-proc ping-pong, one Send and one Recv per hop, whose
+// one allocation is the Message.
+func measureSimMicro() []BenchMicro {
+	const iters = 2000
+	var micro []BenchMicro
+	// meter times iters calls of op on the calling proc; one op spans
+	// events kernel events, and the row is recorded per event.
+	meter := func(id string, events float64, op func()) {
+		op() // heap and mailboxes reach their working size
+		pt := stats.MeasureLoop(iters, op)
+		micro = append(micro, BenchMicro{
+			RunID: id, NsPerOp: pt.NsPerOp / events,
+			AllocsPerOp: pt.AllocsPerOp / events, BytesPerOp: pt.BytesPerOp / events,
+		})
+	}
+	run := func(k *sim.Kernel) {
+		if err := k.Run(); err != nil {
+			panic(err)
+		}
+	}
+
+	const procs = 8
+	k := sim.NewKernel()
+	k.Spawn("meter", func(p *sim.Proc) {
+		meter("micro/sim/advance", procs, func() { p.Advance(sim.Microsecond) })
+	})
+	for id := 1; id < procs; id++ {
+		k.Spawn("peer", func(p *sim.Proc) {
+			for i := 0; i <= iters; i++ {
+				p.Advance(sim.Microsecond)
+			}
+		})
+	}
+	run(k)
+
+	k = sim.NewKernel()
+	k.Spawn("ping", func(p *sim.Proc) {
+		meter("micro/sim/send-recv", 2, func() {
+			p.Send(1, sim.Microsecond, nil)
+			p.Recv()
+		})
+	})
+	k.Spawn("pong", func(p *sim.Proc) {
+		for i := 0; i <= iters; i++ {
+			p.Recv()
+			p.Send(0, sim.Microsecond, nil)
+		}
+	})
+	run(k)
 	return micro
 }
 

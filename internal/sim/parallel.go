@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"runtime"
 	"sync"
@@ -35,6 +34,10 @@ import (
 // sequential kernel's. The comparator key (at, pushAt, from, seq) is
 // content-derived (sim.go), so equal-time ties resolve identically no
 // matter which goroutine pushed first in wall time.
+//
+// Procs are hosted exactly as on the sequential kernel (coroutines switched
+// to by Proc.resume); a shard's procs are resumed by whichever worker runs
+// the shard in that window, never by two at once.
 type parState struct {
 	k         *Kernel
 	workers   int
@@ -49,6 +52,9 @@ type parState struct {
 	failMu  sync.Mutex
 	failErr error
 	failed  atomic.Bool
+	// panicked is the first panic a shard step raised (a proc body's
+	// *ProcPanic, usually); the coordinator re-raises it on Run's goroutine.
+	panicked any
 }
 
 // shard owns the procs and pending events of one cluster node. Outside its
@@ -60,12 +66,11 @@ type shard struct {
 	id      int
 	procs   []*Proc
 	events  eventHeap
-	yield   chan struct{} // proc -> shard: I have blocked or finished
 	live    int
 	started bool
 
 	inMu  sync.Mutex
-	inbox []*event
+	inbox []event
 }
 
 // NewParallelKernel returns a kernel that executes with the given number of
@@ -102,15 +107,10 @@ func (k *Kernel) SetShard(p *Proc, id int) {
 		return
 	}
 	for len(ps.shards) <= id {
-		ps.shards = append(ps.shards, &shard{
-			k:     k,
-			id:    len(ps.shards),
-			yield: make(chan struct{}),
-		})
+		ps.shards = append(ps.shards, &shard{k: k, id: len(ps.shards)})
 	}
 	sh := ps.shards[id]
 	p.sh = sh
-	p.yield = sh.yield
 	sh.procs = append(sh.procs, p)
 }
 
@@ -127,14 +127,14 @@ func (k *Kernel) SetLookahead(d Duration) {
 // local heap (they may still fire inside the current window); cross-shard
 // events must land at or beyond the horizon and go to the destination
 // shard's inbox for the barrier merge.
-func (ps *parState) route(p *Proc, e *event) {
+func (ps *parState) route(p *Proc, e event) {
 	src := p.sh
 	dst := ps.k.procs[e.proc].sh
 	if src == nil || dst == nil {
 		panic(fmt.Sprintf("sim: parallel kernel: proc %d or %d not assigned to a shard", p.id, e.proc))
 	}
 	if dst == src {
-		heap.Push(&src.events, e)
+		src.events.push(e)
 		return
 	}
 	if e.at < ps.horizon {
@@ -172,11 +172,27 @@ func (k *Kernel) runPar() error {
 	work := make(chan *shard, len(ps.shards))
 	defer close(work)
 	var wg sync.WaitGroup
+	// A panic inside a step (a proc body's, arriving through resume) is held
+	// until the window's barrier and re-raised on Run's goroutine: no shard
+	// is mid-step when Run's caller, or the teardown on the way, sees it.
+	step := func(sh *shard) {
+		defer wg.Done()
+		defer func() {
+			if r := recover(); r != nil {
+				ps.failMu.Lock()
+				if ps.panicked == nil {
+					ps.panicked = r
+				}
+				ps.failMu.Unlock()
+				ps.failed.Store(true)
+			}
+		}()
+		sh.step()
+	}
 	for i := 1; i < ps.workers; i++ {
 		go func() {
 			for sh := range work {
-				sh.step()
-				wg.Done()
+				step(sh)
 			}
 		}()
 	}
@@ -188,12 +204,15 @@ func (k *Kernel) runPar() error {
 		if len(ready) == 0 {
 			return
 		}
-		wg.Add(len(ready) - 1)
+		wg.Add(len(ready))
 		for _, sh := range ready[1:] {
 			work <- sh
 		}
-		ready[0].step()
+		step(ready[0])
 		wg.Wait()
+		if ps.panicked != nil {
+			panic(ps.panicked)
+		}
 	}
 
 	// Start phase: every shard starts its procs at t=0 in spawn order.
@@ -249,7 +268,7 @@ func (sh *shard) mergeInbox() {
 	pending := sh.inbox
 	sh.inbox = sh.inbox[:0]
 	for _, e := range pending {
-		heap.Push(&sh.events, e)
+		sh.events.push(e)
 	}
 	sh.inMu.Unlock()
 }
@@ -259,12 +278,10 @@ func (sh *shard) mergeInbox() {
 func (sh *shard) step() {
 	if !sh.started {
 		sh.started = true
+		sh.live = len(sh.procs)
 		for _, p := range sh.procs {
-			sh.live++
-			sh.k.startProc(p)
-		}
-		for _, p := range sh.procs {
-			sh.schedule(p, 0)
+			p.start()
+			p.resume(0)
 		}
 		return
 	}
@@ -273,30 +290,6 @@ func (sh *shard) step() {
 		if ps.failed.Load() {
 			return
 		}
-		e := heap.Pop(&sh.events).(*event)
-		p := sh.k.procs[e.proc]
-		switch {
-		case e.isTimer:
-			sh.schedule(p, e.at)
-		case e.msg != nil:
-			e.msg.Arrival = e.at
-			if sh.k.OnDeliver != nil {
-				sh.k.OnDeliver(e.msg)
-			}
-			p.mbox = append(p.mbox, e.msg)
-			if p.state == stateBlockedRecv {
-				sh.schedule(p, e.at)
-			}
-		}
+		sh.k.fire(sh.events.pop())
 	}
-}
-
-// schedule resumes proc p at time t and waits for it to yield back to the
-// shard, mirroring Kernel.schedule.
-func (sh *shard) schedule(p *Proc, t Time) {
-	if t < p.now {
-		t = p.now
-	}
-	p.resume <- t
-	<-sh.yield
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -53,17 +52,16 @@ type rtState struct {
 	groups map[*sync.Mutex][]*Proc
 }
 
-// errProcKilled is the sentinel unwinding a killed proc's goroutine.
+// errProcKilled is the sentinel panic unwinding a proc's body, on every
+// kernel: a killed realtime proc, a virtual-time proc the kernel stopped,
+// or one that called Fail. Only the proc's own wrapper recovers it.
 var errProcKilled = new(struct{ _ int })
 
 // NewRealtimeKernel returns a kernel whose procs run concurrently against
 // the wall clock. Spawn procs as usual; Run starts them all and returns
 // when every proc has finished (or the first failure kills the run).
 func NewRealtimeKernel() *Kernel {
-	return &Kernel{
-		yield: make(chan struct{}),
-		rt:    &rtState{start: time.Now(), killed: make(chan struct{})},
-	}
+	return &Kernel{rt: &rtState{start: time.Now(), killed: make(chan struct{})}}
 }
 
 // Realtime reports whether the kernel runs against the wall clock.
@@ -157,7 +155,7 @@ func (k *Kernel) runRT() error {
 			defer rt.wg.Done()
 			defer func() {
 				if r := recover(); r != nil && r != errProcKilled {
-					k.killRT(fmt.Errorf("sim: proc %d (%s) panicked: %v\n%s", p.id, p.name, r, debug.Stack()))
+					k.killRT(&ProcPanic{Proc: p.id, Name: p.name, Value: r, Stack: debug.Stack()})
 				}
 				// Mark done before releasing the lock so a sibling's
 				// Advance-yield never spins on mail this proc will not read.
@@ -203,7 +201,7 @@ func (p *Proc) recvRT() *Message {
 	rt := p.k.rt
 	released := false
 	p.mboxMu.Lock()
-	for len(p.mbox) == 0 {
+	for p.mboxLen() == 0 {
 		if rt.isKilled() {
 			p.mboxMu.Unlock()
 			// Unwind without reacquiring the group lock: exclHeld already
@@ -234,15 +232,9 @@ func (p *Proc) recvRT() *Message {
 		p.exclHeld = true
 		p.mboxMu.Lock()
 	}
-	m := p.mbox[0]
-	copy(p.mbox, p.mbox[1:])
-	p.mbox[len(p.mbox)-1] = nil
-	p.mbox = p.mbox[:len(p.mbox)-1]
+	m := p.mboxPop()
 	p.mboxN.Add(-1)
 	p.mboxMu.Unlock()
-	if m.Arrival > p.now {
-		p.now = m.Arrival
-	}
 	return m
 }
 
@@ -251,19 +243,13 @@ func (p *Proc) recvRT() *Message {
 func (p *Proc) tryRecvRT() *Message {
 	p.checkKilledRT()
 	p.mboxMu.Lock()
-	if len(p.mbox) == 0 {
+	if p.mboxLen() == 0 {
 		p.mboxMu.Unlock()
 		return nil
 	}
-	m := p.mbox[0]
-	copy(p.mbox, p.mbox[1:])
-	p.mbox[len(p.mbox)-1] = nil
-	p.mbox = p.mbox[:len(p.mbox)-1]
+	m := p.mboxPop()
 	p.mboxN.Add(-1)
 	p.mboxMu.Unlock()
-	if m.Arrival > p.now {
-		p.now = m.Arrival
-	}
 	return m
 }
 
@@ -309,7 +295,7 @@ func (p *Proc) yieldRT() {
 
 func (p *Proc) pendingRT() int {
 	p.mboxMu.Lock()
-	n := len(p.mbox)
+	n := p.mboxLen()
 	p.mboxMu.Unlock()
 	return n
 }

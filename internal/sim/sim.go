@@ -1,12 +1,14 @@
 // Package sim implements a deterministic, cooperative discrete-event
 // simulation kernel.
 //
-// A Kernel hosts a set of Procs. Each Proc executes ordinary Go code on its
-// own goroutine, but the kernel guarantees that exactly one Proc (or the
-// kernel itself) runs at any instant: a Proc runs until it performs a
-// blocking kernel call (Advance, Recv, or returning from its body), at which
-// point control returns to the kernel, which fires the globally earliest
-// pending event and resumes the Proc that event belongs to.
+// A Kernel hosts a set of Procs. Each Proc executes ordinary Go code as a
+// coroutine of the kernel (iter.Pull): exactly one Proc (or the kernel
+// itself) runs at any instant, and control moves between them by direct
+// switch, never through the Go scheduler's run queues. A Proc runs until it
+// performs a blocking kernel call (Advance, Recv, or returning from its
+// body), at which point it switches back to the kernel, which fires the
+// globally earliest pending event and switches to the Proc that event
+// belongs to.
 //
 // Virtual time is an int64 count of nanoseconds. A Proc's clock advances
 // only through kernel calls; computation performed between calls is free
@@ -23,8 +25,9 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
+	"iter"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -61,47 +64,86 @@ type Message struct {
 	Payload any
 }
 
-// event is a heap entry: either a message delivery or a timer wakeup.
-// Ties at equal delivery time are broken by the push-time key (pushAt,
+// event is a heap entry: a message delivery, or a timer wakeup when msg is
+// nil. Ties at equal delivery time are broken by the push-time key (pushAt,
 // from, seq): events pushed earlier in virtual time fire first, then by
 // pushing proc id, then in per-proc push order. The key depends only on
 // the pushing proc's own deterministic execution — not on any global
 // counter — which is what lets the parallel kernel (parallel.go)
 // reproduce the sequential event order exactly.
 type event struct {
-	at      Time
-	pushAt  Time   // pushing proc's clock at push
-	from    int    // pushing proc id
-	seq     uint64 // pushing proc's push sequence number
-	proc    int    // destination proc id
-	msg     *Message
-	isTimer bool
+	at     Time
+	pushAt Time   // pushing proc's clock at push
+	from   int    // pushing proc id
+	seq    uint64 // pushing proc's push sequence number
+	proc   int    // destination proc id
+	msg    *Message
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before is the heap order: the four-field content key. (from, seq) is
+// unique per event, so the order is total and any correct heap pops the
+// same sequence.
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	if h[i].pushAt != h[j].pushAt {
-		return h[i].pushAt < h[j].pushAt
+	if e.pushAt != o.pushAt {
+		return e.pushAt < o.pushAt
 	}
-	if h[i].from != h[j].from {
-		return h[i].from < h[j].from
+	if e.from != o.from {
+		return e.from < o.from
 	}
-	return h[i].seq < h[j].seq
+	return e.seq < o.seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+
+// eventHeap is a binary min-heap of events held by value: a push or pop
+// moves structs within one slice and allocates nothing once the slice has
+// grown to the run's working set.
+type eventHeap []event
+
+func (h *eventHeap) push(e event) {
+	s := append(*h, e)
+	*h = s
+	i := len(s) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(&s[parent]) {
+			break
+		}
+		s[i] = s[parent]
+		i = parent
+	}
+	s[i] = e
+}
+
+func (h *eventHeap) pop() event {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	last := s[n]
+	s[n] = event{} // drop the message reference
+	s = s[:n]
+	*h = s
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && s[c+1].before(&s[c]) {
+			c++
+		}
+		if !s[c].before(&last) {
+			break
+		}
+		s[i] = s[c]
+		i = c
+	}
+	s[i] = last
+	return top
 }
 
 type procState int
@@ -115,7 +157,7 @@ const (
 )
 
 // Proc is a simulated process. All methods must be called only from the
-// Proc's own goroutine while it is the running process.
+// Proc's own body while it is the running process.
 type Proc struct {
 	k     *Kernel
 	id    int
@@ -123,9 +165,18 @@ type Proc struct {
 	now   Time
 	state procState
 
-	resume chan Time     // kernel -> proc: wake at this time
-	yield  chan struct{} // proc -> scheduler: I have blocked or finished
-	mbox   []*Message
+	// The coroutine hosting body (virtual-time kernels only; see start).
+	// next switches from the kernel into the proc and returns when the proc
+	// blocks or finishes; yield switches back, returning false once the
+	// kernel has stopped the proc; stop unwinds a proc that has not finished.
+	next    func() (struct{}, bool)
+	stop    func()
+	yield   func(struct{}) bool
+	stopped bool // yield returned false: the body is being unwound
+
+	// mbox[mboxHead:] are the delivered, unconsumed messages (mboxPop).
+	mbox     []*Message
+	mboxHead int
 
 	pushSeq uint64 // events pushed by this proc, for the ordering key
 
@@ -173,8 +224,7 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 type Kernel struct {
 	procs  []*Proc
 	events eventHeap
-	yield  chan struct{} // proc -> kernel: I have blocked or finished
-	live   int           // procs not yet Done
+	live   int // procs not yet Done
 	failed error
 
 	// par, when non-nil, switches the kernel to sharded parallel execution
@@ -203,19 +253,17 @@ type cancelReason struct{ err error }
 
 // NewKernel returns an empty kernel.
 func NewKernel() *Kernel {
-	return &Kernel{yield: make(chan struct{})}
+	return &Kernel{}
 }
 
 // Spawn registers a new Proc executing body. Must be called before Run.
 func (k *Kernel) Spawn(name string, body func(*Proc)) *Proc {
 	p := &Proc{
-		k:      k,
-		id:     len(k.procs),
-		name:   name,
-		resume: make(chan Time),
-		yield:  k.yield,
-		body:   body,
-		state:  stateReady,
+		k:     k,
+		id:    len(k.procs),
+		name:  name,
+		body:  body,
+		state: stateReady,
 	}
 	p.mboxCond = sync.NewCond(&p.mboxMu)
 	k.procs = append(k.procs, p)
@@ -229,8 +277,13 @@ func (k *Kernel) NumProcs() int { return len(k.procs) }
 func (k *Kernel) Proc(id int) *Proc { return k.procs[id] }
 
 // push enqueues an event pushed by proc p, stamping the deterministic
-// ordering key from p's clock and push counter.
-func (k *Kernel) push(p *Proc, e *event) {
+// ordering key from p's clock and push counter. A proc being unwound (its
+// deferred functions may still call Advance or Send) is turned away before
+// it touches the heap.
+func (k *Kernel) push(p *Proc, e event) {
+	if p.stopped {
+		panic(errProcKilled)
+	}
 	e.pushAt = p.now
 	e.from = p.id
 	e.seq = p.pushSeq
@@ -239,7 +292,7 @@ func (k *Kernel) push(p *Proc, e *event) {
 		k.par.route(p, e)
 		return
 	}
-	heap.Push(&k.events, e)
+	k.events.push(e)
 }
 
 // ErrDeadlock is returned by Run when no proc can make progress.
@@ -249,23 +302,41 @@ type ErrDeadlock struct {
 
 func (e *ErrDeadlock) Error() string { return "sim: deadlock: " + e.Detail }
 
+// ProcPanic reports a panic in a proc body: the body's own panic value and
+// the stack it was raised on, which leaving the proc's goroutine would
+// otherwise lose. On a virtual-time kernel Run panics with it on its
+// caller's goroutine; on a realtime kernel, whose procs run beside Run
+// rather than under it, Run returns it as the run's error.
+type ProcPanic struct {
+	Proc  int    // id of the panicking proc
+	Name  string // its Spawn name
+	Value any    // what the body passed to panic
+	Stack []byte // debug.Stack() at the recovery point inside the body
+}
+
+func (pp *ProcPanic) Error() string {
+	return fmt.Sprintf("sim: proc %d (%s) panicked: %v\n%s", pp.Proc, pp.Name, pp.Value, pp.Stack)
+}
+
 // Run starts every spawned Proc at time 0 and processes events until all
 // Procs finish. It returns a *ErrDeadlock if some Procs are blocked forever,
-// or any error recorded via Fail.
+// or any error recorded via Fail or Cancel. On a virtual-time kernel a panic
+// in a proc body propagates to Run's caller as a *ProcPanic, and however
+// Run ends, every unfinished proc has been unwound before it does: no
+// goroutine outlives the run.
 func (k *Kernel) Run() error {
 	if k.rt != nil {
 		return k.runRT()
 	}
+	defer k.stopProcs()
 	if k.par != nil {
 		return k.runPar()
 	}
 	// Start all procs at t=0 in spawn order.
+	k.live = len(k.procs)
 	for _, p := range k.procs {
-		k.live++
-		k.startProc(p)
-	}
-	for _, p := range k.procs {
-		k.schedule(p, 0)
+		p.start()
+		p.resume(0)
 	}
 	for k.live > 0 && k.failed == nil {
 		if c := k.canceled.Load(); c != nil {
@@ -275,57 +346,80 @@ func (k *Kernel) Run() error {
 		if len(k.events) == 0 {
 			return &ErrDeadlock{Detail: k.dump()}
 		}
-		e := heap.Pop(&k.events).(*event)
-		p := k.procs[e.proc]
-		switch {
-		case e.isTimer:
-			// Timer events are only scheduled for procs blocked in
-			// Advance (or initial start); deliver unconditionally.
-			k.schedule(p, e.at)
-		case e.msg != nil:
-			e.msg.Arrival = e.at
-			if k.OnDeliver != nil {
-				k.OnDeliver(e.msg)
-			}
-			p.mbox = append(p.mbox, e.msg)
-			if p.state == stateBlockedRecv {
-				k.schedule(p, e.at)
-			}
-		}
+		k.fire(k.events.pop())
 	}
 	return k.failed
 }
 
-// schedule resumes proc p at time t and waits for it to yield again.
-func (k *Kernel) schedule(p *Proc, t Time) {
-	if t < p.now {
-		t = p.now
+// fire delivers one popped event: a timer wakes its proc (timers are only
+// pushed by Advance, so the proc is blocked there); a message joins the
+// destination mailbox and wakes the proc if it is blocked in Recv. Shared
+// by the sequential loop and the shards of a parallel kernel.
+func (k *Kernel) fire(e event) {
+	p := k.procs[e.proc]
+	if e.msg == nil {
+		p.resume(e.at)
+		return
 	}
-	p.resume <- t
-	<-k.yield
+	e.msg.Arrival = e.at
+	if k.OnDeliver != nil {
+		k.OnDeliver(e.msg)
+	}
+	p.mbox = append(p.mbox, e.msg)
+	if p.state == stateBlockedRecv {
+		p.resume(e.at)
+	}
 }
 
-// startProc launches p's goroutine: it waits for its first resume, runs
-// the body, and reports completion to its scheduler (the kernel loop, or
-// the owning shard under a parallel kernel).
-func (k *Kernel) startProc(p *Proc) {
-	go func() {
-		t := <-p.resume
-		p.now = t
-		p.state = stateRunning
-		p.body(p)
+// start creates p's coroutine; the body begins on the first resume.
+func (p *Proc) start() {
+	p.next, p.stop = iter.Pull(p.host)
+}
+
+// host is the coroutine's function: it runs the body and, however the body
+// ends, retires the proc from its scheduler's live count (the kernel's, or
+// the owning shard's under a parallel kernel). errProcKilled — a stopped
+// proc, or one that called Fail — ends here; any other panic continues to
+// the goroutine that resumed the proc, with the stack it came from.
+func (p *Proc) host(yield func(struct{}) bool) {
+	p.yield = yield
+	defer func() {
 		p.state = stateDone
 		if p.sh != nil {
 			p.sh.live--
 		} else {
-			k.live--
+			p.k.live--
 		}
-		p.yield <- struct{}{}
+		if r := recover(); r != nil && r != errProcKilled {
+			panic(&ProcPanic{Proc: p.id, Name: p.name, Value: r, Stack: debug.Stack()})
+		}
 	}()
+	p.body(p)
 }
 
-// Fail aborts the simulation with err; the currently running proc must call
-// it and then block forever (the kernel's Run returns err).
+// resume switches to proc p at virtual time t and returns once p has
+// blocked again or finished. The switch is a direct transfer between the
+// two goroutines; the clock needs no hand-off because only one side runs.
+func (p *Proc) resume(t Time) {
+	if t > p.now {
+		p.now = t
+	}
+	p.state = stateRunning
+	p.next()
+}
+
+// stopProcs unwinds every proc that has not finished: its pending yield
+// returns false and the body panics out with errProcKilled (yieldAndWait).
+// Stopping a finished proc is a no-op.
+func (k *Kernel) stopProcs() {
+	for _, p := range k.procs {
+		if p.stop != nil {
+			p.stop()
+		}
+	}
+}
+
+// fail records the first error that aborts the simulation.
 func (k *Kernel) fail(err error) {
 	if k.par != nil {
 		k.par.fail(err)
@@ -340,9 +434,10 @@ func (k *Kernel) fail(err error) {
 // being processed completes. Unlike every other kernel method, Cancel is
 // safe to call from any goroutine (it only publishes a flag), which is
 // what lets a context watcher stop a simulation mid-run. Like a Fail, a
-// cancelled run leaves its blocked procs' goroutines parked forever.
-// Calling Cancel on a kernel that already stopped is a no-op; only the
-// first Cancel's error is reported.
+// cancelled run unwinds its blocked procs before Run returns: their
+// deferred functions run, and their goroutines and whatever the bodies
+// held are released. Calling Cancel on a kernel that already stopped is a
+// no-op; only the first Cancel's error is reported.
 func (k *Kernel) Cancel(err error) {
 	if err == nil {
 		err = fmt.Errorf("sim: run canceled")
@@ -377,7 +472,7 @@ func (k *Kernel) dump() string {
 		case stateReady:
 			st = "ready"
 		}
-		rows = append(rows, row{p.id, fmt.Sprintf("proc %d (%s) blocked in %s at %v, %d queued msgs", p.id, p.name, st, p.now, len(p.mbox))})
+		rows = append(rows, row{p.id, fmt.Sprintf("proc %d (%s) blocked in %s at %v, %d queued msgs", p.id, p.name, st, p.now, p.mboxLen())})
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].id < rows[j].id })
 	for _, r := range rows {
@@ -387,15 +482,14 @@ func (k *Kernel) dump() string {
 	return b.String()
 }
 
-// yieldAndWait blocks the calling proc until the kernel resumes it,
-// updating the proc clock to the resume time.
+// yieldAndWait switches back to the kernel until it resumes the proc
+// (resume has by then set the clock and state). A false yield means the
+// kernel stopped the proc instead: unwind the body.
 func (p *Proc) yieldAndWait() {
-	p.yield <- struct{}{}
-	t := <-p.resume
-	if t > p.now {
-		p.now = t
+	if !p.yield(struct{}{}) {
+		p.stopped = true
+		panic(errProcKilled)
 	}
-	p.state = stateRunning
 }
 
 // Advance moves the Proc's clock forward by d, letting other procs run in
@@ -421,7 +515,7 @@ func (p *Proc) Advance(d Duration) {
 	if d == 0 {
 		return
 	}
-	p.k.push(p, &event{at: p.now + Time(d), proc: p.id, isTimer: true})
+	p.k.push(p, event{at: p.now + Time(d), proc: p.id})
 	p.state = stateBlockedTimer
 	p.yieldAndWait()
 }
@@ -439,7 +533,27 @@ func (p *Proc) Send(dst int, delay Duration, payload any) {
 	}
 	m := &Message{From: p.id, To: dst}
 	m.Payload = payload
-	p.k.push(p, &event{at: p.now + Time(delay), proc: dst, msg: m})
+	p.k.push(p, event{at: p.now + Time(delay), proc: dst, msg: m})
+}
+
+// mboxLen reports the delivered, unconsumed messages. On a realtime
+// kernel the caller holds mboxMu.
+func (p *Proc) mboxLen() int { return len(p.mbox) - p.mboxHead }
+
+// mboxPop dequeues the oldest message in O(1): the head index moves and the
+// slice is reset, keeping its backing array, whenever the mailbox empties.
+// On a realtime kernel the caller holds mboxMu.
+func (p *Proc) mboxPop() *Message {
+	m := p.mbox[p.mboxHead]
+	p.mbox[p.mboxHead] = nil
+	p.mboxHead++
+	if p.mboxHead == len(p.mbox) {
+		p.mbox, p.mboxHead = p.mbox[:0], 0
+	}
+	if m.Arrival > p.now {
+		p.now = m.Arrival
+	}
+	return m
 }
 
 // Recv returns the next queued message, blocking in virtual time until one
@@ -449,18 +563,11 @@ func (p *Proc) Recv() *Message {
 	if p.k.rt != nil {
 		return p.recvRT()
 	}
-	for len(p.mbox) == 0 {
+	for p.mboxLen() == 0 {
 		p.state = stateBlockedRecv
 		p.yieldAndWait()
 	}
-	m := p.mbox[0]
-	copy(p.mbox, p.mbox[1:])
-	p.mbox[len(p.mbox)-1] = nil
-	p.mbox = p.mbox[:len(p.mbox)-1]
-	if m.Arrival > p.now {
-		p.now = m.Arrival
-	}
-	return m
+	return p.mboxPop()
 }
 
 // TryRecv returns the next already-delivered message, or nil without
@@ -469,10 +576,10 @@ func (p *Proc) TryRecv() *Message {
 	if p.k.rt != nil {
 		return p.tryRecvRT()
 	}
-	if len(p.mbox) == 0 {
+	if p.mboxLen() == 0 {
 		return nil
 	}
-	return p.Recv()
+	return p.mboxPop()
 }
 
 // Pending reports how many messages are queued for the proc.
@@ -480,23 +587,19 @@ func (p *Proc) Pending() int {
 	if p.k.rt != nil {
 		return p.pendingRT()
 	}
-	return len(p.mbox)
+	return p.mboxLen()
 }
 
 // Fail aborts the whole simulation with err. The calling proc does not
-// return; it parks forever while the kernel unwinds.
+// return: its body is unwound on the spot (deferred functions run), and
+// the kernel unwinds every other unfinished proc before Run returns err.
 func (p *Proc) Fail(err error) {
 	if p.k.rt != nil {
 		p.k.killRT(err)
 		panic(errProcKilled)
 	}
-	p.k.fail(err)
-	p.state = stateDone
-	if p.sh != nil {
-		p.sh.live--
-	} else {
-		p.k.live--
+	if !p.stopped {
+		p.k.fail(err)
 	}
-	p.yield <- struct{}{}
-	select {} // unreachable in practice; kernel never resumes us
+	panic(errProcKilled)
 }

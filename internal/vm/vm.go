@@ -56,6 +56,7 @@ type AddressSpace struct {
 	mapped   []byte // non-nil when Mem is an anonymous mapping (see Release)
 	prot     []Prot
 	twins    [][]byte // per-page twin, nil when absent
+	twinFree [][]byte // discarded twins awaiting reuse by MakeTwin
 	pageSize int
 	shift    uint
 }
@@ -100,11 +101,17 @@ func NewAddressSpace(size, pageSize int) *AddressSpace {
 }
 
 // Release returns a mapping-backed segment to the OS; heap-backed spaces
-// are left to the garbage collector. The address space (and anything
-// aliasing Mem) must not be touched afterwards. Callers that own the full
+// are left to the garbage collector. Discarded twin buffers go back to the
+// page-buffer pool, which keeps as many as its cap allows for the next
+// run. The address space (and anything aliasing Mem) must not be touched
+// afterwards. Callers that own the full
 // run lifecycle (the engine) call this once the report is built; leaking a
 // release only costs memory until process exit.
 func (as *AddressSpace) Release() {
+	for _, t := range as.twinFree {
+		PutPageBuf(t)
+	}
+	as.twinFree = nil
 	if as.mapped != nil {
 		segFree(as.mapped)
 		as.mapped = nil
@@ -139,11 +146,26 @@ func (as *AddressSpace) Page(pg PageID) []byte {
 
 // MakeTwin snapshots page pg so later modifications can be diffed. It
 // panics if a twin already exists (protocol bug).
+//
+// Twin buffers cycle through the space's own free list: a node twins
+// roughly the same pages every epoch and discards them all at the barrier,
+// so the buffers DiscardTwin hands back are the ones the next epoch's
+// MakeTwin calls need. The list never holds more buffers than the space
+// has pages (each came from a MakeTwin here, one live twin per page) and
+// needs no lock: a space is only touched by its node's one running proc.
+// Only a run's first twins come from the process-wide page-buffer pool,
+// which Release tops up again, so back-to-back small runs reuse them.
 func (as *AddressSpace) MakeTwin(pg PageID) {
 	if as.twins[pg] != nil {
 		panic(fmt.Sprintf("vm: page %d already has a twin", pg))
 	}
-	t := GetPageBuf(as.pageSize)
+	var t []byte
+	if n := len(as.twinFree); n > 0 {
+		t = as.twinFree[n-1]
+		as.twinFree = as.twinFree[:n-1]
+	} else {
+		t = GetPageBuf(as.pageSize)
+	}
 	copy(t, as.Page(pg))
 	as.twins[pg] = t
 }
@@ -156,7 +178,7 @@ func (as *AddressSpace) HasTwin(pg PageID) bool { return as.twins[pg] != nil }
 // alias the twin).
 func (as *AddressSpace) DiscardTwin(pg PageID) {
 	if t := as.twins[pg]; t != nil {
-		PutPageBuf(t)
+		as.twinFree = append(as.twinFree, t)
 	}
 	as.twins[pg] = nil
 }
@@ -237,10 +259,12 @@ func (as *AddressSpace) PageChecksum(pg PageID) uint64 {
 
 // --- page buffer pool --------------------------------------------------------
 
-// pageBufPool recycles page-sized buffers — twins and full-page snapshots.
-// A run churns through a twin per write fault and a copy per page fetch,
-// and parallel sweeps run many kernels at once, so buffers sit on small
-// per-size free lists instead of being reallocated each time. A
+// pageBufPool recycles page-sized buffers across nodes and runs: the
+// full-page snapshots that serve page fetches (CopyPageOut on the home,
+// PutPageBuf at the requester once the reply is copied in), and the twins a
+// space starts from and leaves behind (within a run twins recycle through
+// their AddressSpace; see MakeTwin). Parallel sweeps run many kernels at
+// once, so the buffers sit on small process-wide per-size free lists. A
 // mutex-guarded freelist stays allocation-free in steady state (sync.Pool
 // would box the slice header on every Put).
 type pageBufPool struct {

@@ -464,8 +464,9 @@ func TestDiffAllocBudget(t *testing.T) {
 	}
 }
 
-// The twin/page-copy pool: a steady-state twin lifecycle and page-fetch
-// round trip recycle their buffers instead of allocating.
+// A steady-state twin lifecycle (through the space's free list) and
+// page-fetch round trip (through the pool) recycle their buffers instead of
+// allocating.
 func TestPageBufPoolRecycles(t *testing.T) {
 	as := NewAddressSpace(8192, 8192)
 	// Warm the pool for this page size.
@@ -480,6 +481,42 @@ func TestPageBufPoolRecycles(t *testing.T) {
 		PutPageBuf(as.CopyPageOut(0))
 	}); got != 0 {
 		t.Fatalf("CopyPageOut round trip allocs/op = %g, want 0", got)
+	}
+}
+
+// An epoch's worth of twins — more than the process-wide pool ever keeps
+// per size — comes back from the space's own free list at the next epoch.
+func TestTwinsRecycleAcrossEpochs(t *testing.T) {
+	const pages = 4 * pageBufPoolCap
+	as := NewAddressSpace(pages*1024, 1024)
+	epoch := func() {
+		for pg := PageID(0); pg < pages; pg++ {
+			as.MakeTwin(pg)
+		}
+		for pg := PageID(0); pg < pages; pg++ {
+			as.DiscardTwin(pg)
+		}
+	}
+	if got := testing.AllocsPerRun(10, epoch); got != 0 {
+		t.Fatalf("twinning %d pages per epoch: %g allocs/epoch in steady state, want 0", pages, got)
+	}
+	if len(as.twinFree) != pages {
+		t.Fatalf("free list holds %d buffers, want one per page (%d)", len(as.twinFree), pages)
+	}
+}
+
+// A released space leaves its twin buffers to the pool, where the next
+// run's first twins come from.
+func TestReleaseHandsTwinsToThePool(t *testing.T) {
+	a := NewAddressSpace(2048, 2048)
+	a.MakeTwin(0)
+	twin := &a.Twin(0)[0]
+	a.DiscardTwin(0)
+	a.Release()
+	b := NewAddressSpace(2048, 2048)
+	b.MakeTwin(0)
+	if &b.Twin(0)[0] != twin {
+		t.Fatal("the next space's first twin is a fresh buffer, not the released one")
 	}
 }
 
