@@ -81,10 +81,6 @@ type runRequest struct {
 	// "sim" (or empty) keeps the virtual-time simulator; a real backend
 	// ("mem", "udp", "tcp") runs the cluster on the wall clock.
 	Transport string `json:"transport,omitempty"`
-	// Workers, under the simulator, shards the discrete-event kernel
-	// across that many goroutines (bit-identical results; -1 selects
-	// GOMAXPROCS). Rejected with a real transport.
-	Workers int `json:"workers,omitempty"`
 	// Timeline attaches the per-epoch statistics history to the report.
 	Timeline bool `json:"timeline,omitempty"`
 	// PageStats attaches per-page attribution to the report.
@@ -578,9 +574,6 @@ func (rr *runRequest) validate(reg *metrics.Registry) (*apps.App, core.ProtocolK
 	if rr.Transport != "" && proto == core.ProtoSeq {
 		return nil, 0, nil, fmt.Errorf("transport %s needs a parallel protocol; seq has no remote traffic", rr.Transport)
 	}
-	if rr.Workers != 0 && rr.Transport != "" {
-		return nil, 0, nil, fmt.Errorf("workers shards the simulated kernel; it cannot be combined with transport %s", rr.Transport)
-	}
 	var app *apps.App
 	if rr.App == "kv" {
 		if app, err = rr.kvApp(proto, reg); err != nil {
@@ -642,13 +635,12 @@ func (s *server) handleLaunch(w http.ResponseWriter, r *http.Request) {
 		created: time.Now(),
 	}
 	opts := apps.RunOpts{
-		Timeline:      req.Timeline,
-		PageStats:     req.PageStats,
-		Transport:     req.Transport,
-		KernelWorkers: req.Workers,
-		Faults:        plan,
-		Sinks:         []trace.Sink{ss.bcast},
-		Metrics:       s.reg,
+		Timeline:  req.Timeline,
+		PageStats: req.PageStats,
+		Transport: req.Transport,
+		Faults:    plan,
+		Sinks:     []trace.Sink{ss.bcast},
+		Metrics:   s.reg,
 		// Capture the cluster's live network handle so PATCH
 		// /v1/runs/{id}/faults can swap fault rules mid-run. netsim's
 		// mutating entry points lock internally, so the handler may call

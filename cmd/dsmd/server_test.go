@@ -386,6 +386,28 @@ func TestLaunchValidation(t *testing.T) {
 	}
 }
 
+// TestWorkersFieldRemoved pins the removal of the sharded-kernel knob:
+// a launch carrying "workers" is a 400 whose message names the field.
+func TestWorkersFieldRemoved(t *testing.T) {
+	_, ts := newTestServer(t, config{workers: 1, queueCap: 1})
+	resp, err := http.Post(ts.URL+"/v1/runs", "application/json",
+		strings.NewReader(`{"app":"jacobi","proto":"bar-u","small":true,"workers":4}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400", resp.StatusCode)
+	}
+	var env map[string]errorBody
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	if msg := env["error"].Message; !strings.Contains(msg, `unknown field "workers"`) {
+		t.Errorf("400 message does not name the field: %q", msg)
+	}
+}
+
 // TestCrashPlanRun launches a session whose fault plan crashes a node
 // mid-run and restarts it in place: the session completes cleanly and
 // the report carries the recovery counters.

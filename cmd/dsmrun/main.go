@@ -29,10 +29,6 @@
 // — so the virtual-time sequential baseline, speedup, and -straggler do
 // not apply. Combines with -check to hold the real runtime to the
 // simulated baseline.
-//
-// -workers N shards the simulated kernel across N goroutines under
-// conservative lookahead; results are bit-identical to the sequential
-// kernel, only wall-clock time changes. Sim only.
 package main
 
 import (
@@ -83,7 +79,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	straggler := fs.String("straggler", "", "fault injection: slow one node, as node:factor[:fromEpoch[:toEpoch]]")
 	crash := fs.String("crash", "", "fault injection: crash nodes at barriers, as node:epoch[:restartAfter] (comma-separated; restartAfter 0 restarts in place, omitted never restarts)")
 	transportName := fs.String("transport", "", "transport backend: sim (the default simulator) or a real one — mem (in-process channels), udp (loopback datagrams), tcp (persistent streams)")
-	workers := fs.Int("workers", 0, "sim only: drive the discrete-event kernel with N parallel shard workers (bit-identical results; -1 = GOMAXPROCS)")
 	metricsPath := fs.String("metrics", "", "write the run's final metrics snapshot to `file` in Prometheus text format (- for stdout)")
 	faultSeed := fs.Int64("fault-seed", 1, "seed for the fault-injection schedule")
 	checkRun := fs.Bool("check", false, "differential conformance: hold this protocol (fault flags included) bit-for-bit to the sequential baseline under the consistency oracle")
@@ -135,11 +130,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if e.Virtual {
 			*transportName = "" // "sim" is the default simulator
 		}
-	}
-	if *workers != 0 && *transportName != "" {
-		fmt.Fprintf(stderr, "dsmrun: -workers shards the simulated kernel; it cannot be combined with -transport %s\n",
-			*transportName)
-		return 2
 	}
 	if *metricsPath != "" && *checkRun {
 		// The conformance harness builds its own configurations and ignores
@@ -271,11 +261,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	opts := apps.RunOpts{
-		Timeline:      *jsonOut || *timeline,
-		PageStats:     *pageStatsN > 0,
-		Transport:     *transportName,
-		KernelWorkers: *workers,
-		Metrics:       reg,
+		Timeline:  *jsonOut || *timeline,
+		PageStats: *pageStatsN > 0,
+		Transport: *transportName,
+		Metrics:   reg,
 	}
 	plan, err := buildFaultPlan(*loss, *dup, *reorder, *delay, *straggler, *crash, *faultSeed, *procs)
 	if err != nil {
@@ -298,7 +287,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				}
 			}
 		}
-		return runCheck(stdout, stderr, app, proto, *procs, plan, *transportName, *workers)
+		return runCheck(stdout, stderr, app, proto, *procs, plan, *transportName)
 	}
 
 	var log *trace.Log
@@ -413,7 +402,7 @@ func writeMetrics(path string, reg *metrics.Registry, stdout io.Writer) error {
 // runCheck executes the -check mode: the differential conformance harness
 // over exactly the requested protocol, fault-free plus (when fault flags
 // are set) the requested plan.
-func runCheck(stdout, stderr io.Writer, app *apps.App, proto core.ProtocolKind, procs int, plan *netsim.FaultPlan, transportName string, workers int) int {
+func runCheck(stdout, stderr io.Writer, app *apps.App, proto core.ProtocolKind, procs int, plan *netsim.FaultPlan, transportName string) int {
 	if proto == core.ProtoSeq {
 		fmt.Fprintln(stderr, "dsmrun: -check holds a protocol to the sequential baseline; -proto seq is the baseline itself")
 		return 2
@@ -423,11 +412,10 @@ func runCheck(stdout, stderr io.Writer, app *apps.App, proto core.ProtocolKind, 
 		return 2
 	}
 	copts := check.Options{
-		Procs:         procs,
-		SegmentBytes:  app.SegmentBytes,
-		Protocols:     []core.ProtocolKind{proto},
-		Transport:     transportName,
-		KernelWorkers: workers,
+		Procs:        procs,
+		SegmentBytes: app.SegmentBytes,
+		Protocols:    []core.ProtocolKind{proto},
+		Transport:    transportName,
 	}
 	if plan != nil {
 		copts.Plans = []*netsim.FaultPlan{plan}

@@ -203,6 +203,19 @@ func TestBadFlagsExitCode(t *testing.T) {
 	}
 }
 
+// TestWorkersFlagRemoved pins the removal of the sharded-kernel knob:
+// -workers is an unknown flag, so the run is refused before it starts.
+func TestWorkersFlagRemoved(t *testing.T) {
+	var out, errb bytes.Buffer
+	code := run([]string{"-app", "jacobi", "-small", "-procs", "2", "-workers", "4"}, &out, &errb)
+	if code != 2 {
+		t.Fatalf("exit %d, want 2 (stderr: %s)", code, errb.String())
+	}
+	if !strings.Contains(errb.String(), "flag provided but not defined: -workers") {
+		t.Errorf("diagnostic does not name the unknown flag:\n%s", errb.String())
+	}
+}
+
 // TestFaultFlagValidation drives the flag-validation bugfix: every
 // nonsensical fault configuration must be rejected up front with exit code
 // 2 and an error naming the offending flag, instead of silently running an

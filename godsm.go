@@ -161,18 +161,6 @@ func ConformancePlan(proto ProtocolKind, seed int64) *FaultPlan {
 	return core.ConformancePlan(proto, seed)
 }
 
-// UpdateLossPlan builds the FaultPlan the retired Config.UpdateLossRate /
-// Config.Seed fields used to synthesize: base (copied, never mutated; nil
-// for none) extended with a rule dropping rate of the unacknowledged
-// update flushes, seeded with seed.
-//
-// Deprecated: one-release compat adapter for callers migrating off the
-// removed Config fields. New code should build a FaultPlan targeting the
-// message classes it wants directly.
-func UpdateLossPlan(rate float64, seed int64, base *FaultPlan) *FaultPlan {
-	return core.UpdateLossPlan(rate, seed, base)
-}
-
 // Protocols lists the paper's six protocols in presentation order.
 func Protocols() []ProtocolKind { return core.Protocols() }
 

@@ -85,11 +85,6 @@ type RunOpts struct {
 	// simulator. Ignored for the sequential baseline, which has no remote
 	// traffic.
 	Transport string
-	// KernelWorkers, in sim mode, shards the discrete-event kernel by
-	// node and drives it with this many workers under conservative
-	// lookahead (core.Config.KernelWorkers). Results stay bit-identical
-	// to the sequential kernel. Ignored for the sequential baseline.
-	KernelWorkers int
 	// Metrics, when non-nil, accumulates run counters and histograms into
 	// the registry (see core.Config.Metrics). The registry outlives the
 	// run, so a server can aggregate across many sessions.
@@ -131,7 +126,6 @@ func (a *App) RunWithContext(ctx context.Context, procs int, proto core.Protocol
 	}
 	if proto != core.ProtoSeq {
 		cfg.Transport = opts.Transport
-		cfg.KernelWorkers = opts.KernelWorkers
 	}
 	if opts.Configure != nil {
 		opts.Configure(&cfg)

@@ -2,7 +2,6 @@ package check
 
 import (
 	"encoding/binary"
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -219,40 +218,6 @@ func TestDifferentialConforms(t *testing.T) {
 	}
 	if res.Report != "" {
 		t.Errorf("conforming result carries a report:\n%s", res.Report)
-	}
-}
-
-func TestDifferentialParallelKernel(t *testing.T) {
-	// All six protocols plus adaptive on the sharded parallel kernel, at
-	// two worker counts, fault-free and under a seeded fault plan: every
-	// run must stay bit-identical to the sequential reference, with the
-	// deterministic replay (and thus full localization detail) intact.
-	// Run under -race this also exercises the shard handoff paths.
-	protos := append(core.Protocols(), core.ProtoBarA)
-	for _, workers := range []int{2, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			res, err := Differential(stencilBody(32, 64, 3, 1), Options{
-				Procs:         4,
-				SegmentBytes:  2 * 32 * 64 * 8,
-				Protocols:     protos,
-				Seeds:         []int64{1},
-				KernelWorkers: workers,
-			})
-			if err != nil {
-				t.Fatalf("differential on parallel kernel failed: %v\n%s", err, res.Report)
-			}
-			// 1 reference + 7 protocols x (fault-free + 1 seed).
-			if want := 1 + 7*2; len(res.Runs) != want {
-				t.Fatalf("ran %d runs, want %d", len(res.Runs), want)
-			}
-			ref := res.Runs[0]
-			for _, r := range res.Runs[1:] {
-				if r.Checksum != ref.Checksum || r.Epochs != ref.Epochs {
-					t.Errorf("%v %s at %d workers: checksum %#x epochs %d, reference %#x/%d",
-						r.Protocol, r.Variant, workers, r.Checksum, r.Epochs, ref.Checksum, ref.Epochs)
-				}
-			}
-		})
 	}
 }
 

@@ -48,14 +48,6 @@ type Options struct {
 	// sim mode — but a divergence cannot be replayed deterministically, so
 	// reports carry no localization detail.
 	Transport string
-	// KernelWorkers, in sim mode, drives every protocol variant on the
-	// sharded parallel DES kernel with that many workers
-	// (core.Config.KernelWorkers). The parallel kernel is bit-identical to
-	// the sequential one, so conformance semantics are unchanged —
-	// divergences replay deterministically and reports keep their full
-	// localization detail. The sequential reference stays on the
-	// sequential kernel.
-	KernelWorkers int
 }
 
 // RunStat summarizes one conforming run.
@@ -180,7 +172,6 @@ func (opts *Options) config(proto core.ProtocolKind, plan *netsim.FaultPlan) cor
 	}
 	if proto != core.ProtoSeq {
 		cfg.Transport = opts.Transport
-		cfg.KernelWorkers = opts.KernelWorkers
 	}
 	if opts.Configure != nil {
 		opts.Configure(&cfg)

@@ -207,15 +207,6 @@ type Config struct {
 	// hazard a real transport would turn into corruption. Ignored when
 	// Transport is set (real transports always encode).
 	EncodeInFlight bool
-	// KernelWorkers, in sim mode, shards the discrete-event kernel by node
-	// and drives the shards with this many worker goroutines under
-	// conservative lookahead (see internal/sim/parallel.go). Results —
-	// event order, virtual times, checksums, every counter — are
-	// bit-identical to the sequential kernel; only wall-clock time changes.
-	// 0 (the default) keeps the sequential kernel; negative selects
-	// GOMAXPROCS workers. Incompatible with Transport: a real transport
-	// already runs every node concurrently against the wall clock.
-	KernelWorkers int
 	// BarrierFanout, when positive, routes barrier releases down a k-ary
 	// relay tree instead of the manager's historical flat fan-out: node 0
 	// sends each of its k direct children (heap layout: children of x are
@@ -223,11 +214,11 @@ type Config struct {
 	// releases, and every relay delivers its own release locally before
 	// forwarding per-child sub-bundles. Release latency drops from
 	// Procs*SendCPU serial sends to log_k(Procs) relay hops, which is what
-	// lets barrier-bound runs scale past a handful of nodes (and what gives
-	// the sharded kernel concurrent windows to exploit). 0 (the default)
-	// keeps the flat fan-out and the paper's 8-node cost accounting. Under
-	// a crash plan the manager always uses the flat fan-out: releases go
-	// only to live arrivers, which the membership-aware path handles.
+	// lets barrier-bound runs scale past a handful of nodes. 0 (the
+	// default) keeps the flat fan-out and the paper's 8-node cost
+	// accounting. Under a crash plan the manager always uses the flat
+	// fan-out: releases go only to live arrivers, which the
+	// membership-aware path handles.
 	BarrierFanout int
 }
 
@@ -285,9 +276,6 @@ func (c *Config) fill() error {
 			c.Transport = ""
 		}
 	}
-	if c.KernelWorkers != 0 && c.Transport != "" {
-		return fmt.Errorf("core: KernelWorkers requires the simulated transport (got Transport=%q)", c.Transport)
-	}
 	if c.BarrierFanout < 0 {
 		return fmt.Errorf("core: BarrierFanout = %d", c.BarrierFanout)
 	}
@@ -330,28 +318,4 @@ func ConformancePlan(proto ProtocolKind, seed int64) *netsim.FaultPlan {
 		Delay:   200 * sim.Microsecond,
 	})
 	return plan
-}
-
-// UpdateLossPlan builds the FaultPlan the retired Config.UpdateLossRate /
-// Config.Seed fields used to synthesize: base (copied, never mutated; nil
-// for none) extended with a rule dropping rate of the unacknowledged
-// update flushes (lmw-u and bar-u consumer updates), seeded with seed.
-// The paper argues lost flushes cost only performance, never correctness.
-//
-// Deprecated: one-release compat adapter for callers migrating off the
-// removed Config fields. New code should build a netsim.FaultPlan
-// targeting the message classes it wants directly.
-func UpdateLossPlan(rate float64, seed int64, base *netsim.FaultPlan) *netsim.FaultPlan {
-	plan := netsim.FaultPlan{Seed: seed}
-	if base != nil {
-		plan = *base
-		plan.Rules = append([]netsim.FaultRule(nil), base.Rules...)
-	}
-	plan.Rules = append(plan.Rules, netsim.FaultRule{
-		Kinds: []int{mkUpdateFlush, mkLmwFlush},
-		From:  netsim.AnyNode,
-		To:    netsim.AnyNode,
-		Drop:  rate,
-	})
-	return &plan
 }

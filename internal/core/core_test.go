@@ -1,7 +1,6 @@
 package core
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
@@ -339,7 +338,15 @@ func TestUpdateLossHarmsOnlyPerformance(t *testing.T) {
 	want := runStencil(t, 1, ProtoSeq).Checksum
 	for _, proto := range []ProtocolKind{ProtoLmwU, ProtoBarU} {
 		cfg := stencilConfig(4, proto)
-		cfg.Faults = UpdateLossPlan(0.3, 42, nil)
+		cfg.Faults = &netsim.FaultPlan{
+			Seed: 42,
+			Rules: []netsim.FaultRule{{
+				Kinds: []int{mkUpdateFlush, mkLmwFlush},
+				From:  netsim.AnyNode,
+				To:    netsim.AnyNode,
+				Drop:  0.3,
+			}},
+		}
 		r, err := Run(cfg, miniStencil(64, 128, 8, 5))
 		if err != nil {
 			t.Fatalf("%v with loss: %v", proto, err)
@@ -350,47 +357,6 @@ func TestUpdateLossHarmsOnlyPerformance(t *testing.T) {
 		if r.Total.RemoteMisses == 0 {
 			t.Errorf("%v with loss: expected fallback remote misses", proto)
 		}
-	}
-}
-
-func TestUpdateLossPlanAdapter(t *testing.T) {
-	// The compat adapter must synthesize exactly the plan the retired
-	// Config.UpdateLossRate/Seed fields produced: one rule dropping update
-	// flushes (lmw-u and bar-u) between any pair of nodes.
-	got := UpdateLossPlan(0.3, 42, nil)
-	want := &netsim.FaultPlan{
-		Seed: 42,
-		Rules: []netsim.FaultRule{{
-			Kinds: []int{mkUpdateFlush, mkLmwFlush},
-			From:  netsim.AnyNode,
-			To:    netsim.AnyNode,
-			Drop:  0.3,
-		}},
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("UpdateLossPlan(0.3, 42, nil) = %+v, want %+v", got, want)
-	}
-
-	// With a base plan, the base is extended, its seed kept, and the base
-	// itself never mutated.
-	base := &netsim.FaultPlan{
-		Seed:  7,
-		Rules: []netsim.FaultRule{{Kinds: []int{mkPageReq}, From: 0, To: 1, Drop: 0.5}},
-	}
-	baseCopy := *base
-	baseCopy.Rules = append([]netsim.FaultRule(nil), base.Rules...)
-	got = UpdateLossPlan(0.1, 99, base)
-	if got.Seed != 7 {
-		t.Errorf("extended plan seed = %d, want base seed 7", got.Seed)
-	}
-	if len(got.Rules) != 2 || !reflect.DeepEqual(got.Rules[0], base.Rules[0]) {
-		t.Errorf("extended plan rules = %+v, want base rule then loss rule", got.Rules)
-	}
-	if got.Rules[1].Drop != 0.1 {
-		t.Errorf("appended loss rule drop = %v, want 0.1", got.Rules[1].Drop)
-	}
-	if !reflect.DeepEqual(base, &baseCopy) {
-		t.Errorf("UpdateLossPlan mutated its base plan: %+v", base)
 	}
 }
 

@@ -29,7 +29,6 @@ type cluster struct {
 	seq      bool   // ProtoSeq: synchronization nulled out
 	faultsOn bool   // cfg.Faults armed: reliability layer active
 	rt       bool   // cfg.Transport set: realtime kernel, real delivery
-	conc     bool   // nodes execute concurrently (rt or parallel kernel)
 	doneSeen []bool // teardown: nodes whose compute body has finished
 	doneLeft int    // teardown: nodes still running
 
@@ -158,7 +157,6 @@ func runContext(ctx context.Context, cfg Config, body func(*Proc)) (*Report, err
 		return nil, fmt.Errorf("core: ProtoSeq requires Procs=1, got %d", cfg.Procs)
 	}
 	rt := cfg.Transport != ""
-	par := cfg.KernelWorkers != 0
 	if rt {
 		if cfg.Transport == transport.KindUDP && cfg.Faults == nil {
 			// Real datagrams can be lost or reordered even without injected
@@ -166,9 +164,9 @@ func runContext(ctx context.Context, cfg Config, body func(*Proc)) (*Report, err
 			// retransmission and dedup recover socket-level misbehaviour.
 			cfg.Faults = &netsim.FaultPlan{}
 		}
-	}
-	if (rt || par) && cfg.Check != nil {
-		cfg.Check = &lockedChecker{inner: cfg.Check}
+		if cfg.Check != nil {
+			cfg.Check = &lockedChecker{inner: cfg.Check}
+		}
 	}
 	clu := &cluster{
 		cfg:  cfg,
@@ -176,21 +174,15 @@ func runContext(ctx context.Context, cfg Config, body func(*Proc)) (*Report, err
 		body: body,
 		seq:  cfg.Protocol == ProtoSeq,
 		rt:   rt,
-		conc: rt || par,
 	}
-	switch {
-	case rt:
+	if rt {
 		clu.kern = sim.NewRealtimeKernel()
-	case par:
-		clu.kern = sim.NewParallelKernel(cfg.KernelWorkers)
-	default:
+	} else {
 		clu.kern = sim.NewKernel()
 	}
 	clu.net = netsim.New(clu.kern, cfg.Procs, clu.cm)
 	clu.net.SetMetrics(cfg.Metrics)
-	if (cfg.EncodeInFlight || par) && !rt {
-		// Parallel shards force the codec round-trip: payloads must be
-		// deep-copied at Send so no pointer crosses shards.
+	if cfg.EncodeInFlight && !rt {
 		clu.net.EncodeInFlight()
 	}
 	clu.mgr = newBarMgr(clu)
@@ -535,7 +527,7 @@ func (n *node) emitTrace(t sim.Time, kind trace.Kind, page int, arg int64) {
 		return
 	}
 	e := trace.Event{T: t, Node: n.id, Kind: kind, Page: page, Arg: arg}
-	if n.clu.conc {
+	if n.clu.rt {
 		n.clu.obsMu.Lock()
 		defer n.clu.obsMu.Unlock()
 	}
@@ -557,7 +549,7 @@ func (c *cluster) emitFault(t sim.Time, from, to, kind int, class netsim.FaultCl
 		k = trace.NetDelay
 	}
 	e := trace.Event{T: t, Node: from, Kind: k, Page: -1, Arg: int64(kind)}
-	if c.conc {
+	if c.rt {
 		c.obsMu.Lock()
 		defer c.obsMu.Unlock()
 	}
@@ -618,9 +610,8 @@ func (n *node) sendRequest(dst int, kind, size int, data any) {
 }
 
 // sendFlush transmits an unacknowledged flush (update) message. Loss is
-// injected by the netsim fault plan (Config.Faults; the legacy
-// UpdateLossRate knob maps onto it via UpdateLossPlan): a lost flush
-// harms only performance, so flushes are never tracked or retransmitted.
+// injected by the netsim fault plan (Config.Faults): a lost flush harms
+// only performance, so flushes are never tracked or retransmitted.
 func (n *node) sendFlush(dst int, kind, size int, data any) {
 	n.osCharge(n.clu.cm.SendCPU)
 	n.clu.net.Send(n.compute, dst, netsim.PortService, &netsim.Packet{Kind: kind, Size: size, Data: data})
@@ -765,7 +756,7 @@ func (n *node) sampleEpoch() {
 	if bd.Wait < 0 {
 		bd.Wait = 0
 	}
-	if n.clu.conc {
+	if n.clu.rt {
 		n.clu.obsMu.Lock()
 		tc.Record(n.id, n.epochT, now, d, bd)
 		n.clu.obsMu.Unlock()

@@ -123,9 +123,6 @@ func New(k *sim.Kernel, n int, m *cost.Model) *Net {
 	for i := range nt.procs {
 		nt.procs[i] = make([]*sim.Proc, numPorts)
 	}
-	// Under a sharded parallel kernel the minimum wire time is the
-	// conservative lookahead: no cross-node packet can arrive sooner.
-	k.SetLookahead(m.XferTime(0))
 	return nt
 }
 
@@ -138,10 +135,6 @@ func (n *Net) Bind(node int, port Port, name string, body func(p *sim.Proc)) *si
 		panic(fmt.Sprintf("netsim: endpoint %d/%d bound twice", node, port))
 	}
 	p := n.K.Spawn(name, body)
-	// One shard per node: a node's ports share engine state and exchange
-	// zero-delay local sends, so they must execute on the same shard.
-	// No-op on sequential and realtime kernels.
-	n.K.SetShard(p, node)
 	n.procs[node][port] = p
 	n.byProc[p.ID()] = addr{node, port}
 	return p

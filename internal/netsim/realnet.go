@@ -49,15 +49,6 @@ func (n *Net) SetTransport(tr transport.Transport) error {
 // here alike.)
 func (n *Net) EncodeInFlight() {
 	n.encodeInFlight = true
-	if n.K.Parallel() {
-		// The round-trip (the deep copy that makes cross-shard payloads
-		// race-free) still runs, but the delivery-time aliasing assertion
-		// cannot: it re-encodes the sender's original payload on the
-		// receiver's shard, racing with the sender's legal post-delivery
-		// mutations. Sequential runs of the same workload keep the
-		// assertion's coverage.
-		return
-	}
 	n.snapshots = make(map[*Packet]aliasSnapshot)
 	n.K.OnDeliver = n.verifyAtDelivery
 }

@@ -27,8 +27,10 @@ import (
 // version 4 added the weak-scaling runs and the workers field marking
 // their parallel-kernel twins; version 5 added the kv datastore skew
 // sweep (zipf s × write fraction × protocol, plus the static-home
-// column and a sequential baseline per grid point).
-const benchSchemaVersion = 5
+// column and a sequential baseline per grid point); version 6 dropped the
+// workers field and the scaling/jacobi/*/w4 parallel-kernel rows with
+// the sharded kernel itself.
+const benchSchemaVersion = 6
 
 // Pre-diet allocation baselines, recorded on the tree as of commit
 // 308965d (before the two-pass MakeDiff and AppendEncode landed): MakeDiff
@@ -45,14 +47,10 @@ var benchExperiments = []string{"table1", "fig2", "fig3", "fig4", "adaptive", "s
 
 // BenchRun is one timed simulation of the bench sweep.
 type BenchRun struct {
-	RunID    string `json:"run_id"`
-	App      string `json:"app"`
-	Protocol string `json:"protocol"`
-	Procs    int    `json:"procs"`
-	// Workers is the parallel-kernel worker count; 0 is the sequential
-	// kernel. A workers>0 run is bit-identical to its workers=0 twin —
-	// the pair differs only in wall clock, which is the point.
-	Workers   int     `json:"workers,omitempty"`
+	RunID     string  `json:"run_id"`
+	App       string  `json:"app"`
+	Protocol  string  `json:"protocol"`
+	Procs     int     `json:"procs"`
 	SimTimeUS float64 `json:"sim_time_us"`
 	WallMS    float64 `json:"wall_ms"`
 	// FrameBytes is the run's encoded wire traffic (whole run); zero
@@ -137,7 +135,6 @@ func (r *Runner) BenchSweep() (*BenchFile, error) {
 			App:            j.app,
 			Protocol:       j.proto,
 			Procs:          j.procs,
-			Workers:        j.workers,
 			SimTimeUS:      float64(rep.Elapsed) / float64(sim.Microsecond),
 			WallMS:         wallMS[i],
 			FrameBytes:     rep.FrameBytes,

@@ -20,12 +20,11 @@ import (
 
 // runJob is one cacheable simulation run.
 type runJob struct {
-	key     string // app/protocol/procs plus any variant suffix
-	app     string
-	proto   string
-	procs   int
-	workers int // parallel-kernel workers; 0 = sequential kernel
-	run     func() (*core.Report, error)
+	key   string // app/protocol/procs plus any variant suffix
+	app   string
+	proto string
+	procs int
+	run   func() (*core.Report, error)
 }
 
 // runCached returns the cached report for j, running it on a miss.
@@ -252,12 +251,7 @@ func (r *Runner) jobsFor(experiment string) []runJob {
 		for _, name := range scalingApps {
 			for _, procs := range r.scalingProcs() {
 				for _, p := range scalingProtocols {
-					add(r.scalingJob(name, procs, p, 0))
-				}
-				// The kernel-comparison twin: same run on the sharded
-				// parallel kernel, for the bench export's wall clocks.
-				if name == "jacobi" {
-					add(r.scalingJob(name, procs, core.ProtoBarU, scalingWorkers))
+					add(r.scalingJob(name, procs, p))
 				}
 			}
 		}

@@ -27,15 +27,9 @@ var scalingProtocols = []core.ProtocolKind{
 	core.ProtoBarI, core.ProtoBarU, core.ProtoLmwI, core.ProtoLmwU, core.ProtoBarA,
 }
 
-const (
-	// scalingFanout is the barrier release relay tree's arity
-	// (core.Config.BarrierFanout), applied to every scaling run.
-	scalingFanout = 8
-	// scalingWorkers is the parallel-kernel worker count of the BENCH
-	// kernel-comparison rows (jacobi only; bit-identical results, so the
-	// rows differ from their workers=0 twins in wall clock alone).
-	scalingWorkers = 4
-)
+// scalingFanout is the barrier release relay tree's arity
+// (core.Config.BarrierFanout), applied to every scaling run.
+const scalingFanout = 8
 
 // scalingProcs returns the swept cluster sizes. Small keeps tests and CI
 // smoke runs off the 256-node cells.
@@ -63,29 +57,20 @@ type ScalingRow struct {
 }
 
 // scalingJob runs the weak-scaled instance of app at procs under proto.
-// workers > 0 moves the run onto the sharded parallel kernel — results
-// are bit-identical, so those jobs exist purely for the BENCH export's
-// wall-clock comparison.
-func (r *Runner) scalingJob(name string, procs int, proto core.ProtocolKind, workers int) runJob {
-	key := fmt.Sprintf("scaling/%s/%v/%d", name, proto, procs)
-	if workers > 0 {
-		key = fmt.Sprintf("%s/w%d", key, workers)
-	}
+func (r *Runner) scalingJob(name string, procs int, proto core.ProtocolKind) runJob {
 	return runJob{
-		key:     key,
-		app:     name,
-		proto:   proto.String(),
-		procs:   procs,
-		workers: workers,
+		key:   fmt.Sprintf("scaling/%s/%v/%d", name, proto, procs),
+		app:   name,
+		proto: proto.String(),
+		procs: procs,
 		run: func() (*core.Report, error) {
 			a, err := apps.Weak(name, procs, r.Small)
 			if err != nil {
 				return nil, err
 			}
 			rep, err := a.RunWith(procs, proto, apps.RunOpts{
-				Model:         r.Model,
-				KernelWorkers: workers,
-				Configure:     func(c *core.Config) { c.BarrierFanout = scalingFanout },
+				Model:     r.Model,
+				Configure: func(c *core.Config) { c.BarrierFanout = scalingFanout },
 			})
 			if err != nil {
 				return nil, fmt.Errorf("repro: scaling %s under %v at %d nodes: %w", name, proto, procs, err)
@@ -104,7 +89,7 @@ func (r *Runner) Scaling() ([]ScalingRow, error) {
 		for _, procs := range r.scalingProcs() {
 			row := ScalingRow{App: name, Procs: procs}
 			for _, proto := range scalingProtocols {
-				rep, err := r.runCached(r.scalingJob(name, procs, proto, 0))
+				rep, err := r.runCached(r.scalingJob(name, procs, proto))
 				if err != nil {
 					return nil, err
 				}
@@ -148,6 +133,5 @@ func (r *Runner) RenderScaling() (string, error) {
 		}
 		b.WriteString("\n")
 	}
-	b.WriteString("(wall-clock kernel comparison: see the scaling/jacobi/*/w4 rows of the bench export)\n")
 	return b.String(), nil
 }

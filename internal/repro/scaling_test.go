@@ -55,7 +55,7 @@ func TestScalingSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"jacobi", "sor", "barnes", "bar-u", "adaptive", "bench export"} {
+	for _, want := range []string{"jacobi", "sor", "barnes", "bar-u", "adaptive"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}

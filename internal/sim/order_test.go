@@ -16,14 +16,12 @@ import (
 const (
 	orderProcs  = 64
 	orderRounds = 40
-	orderShards = 8
 
 	// goldenFireOrder hashes the (at, proc, isTimer, from) sequence the
 	// sequential kernel fires, in firing order.
 	goldenFireOrder = "1613b171440a262b"
 	// goldenPerProcOrder hashes each proc's own sequence of fired events,
-	// procs concatenated in id order — the view both kernels must agree on
-	// (the sharded kernel has no global firing order to record).
+	// procs concatenated in id order.
 	goldenPerProcOrder = "9747d77a0183beab"
 )
 
@@ -70,27 +68,22 @@ type fired struct {
 }
 
 // runOrderBody runs the planned body on k and returns the global firing log
-// (meaningful on the sequential kernel only) and the per-proc logs. Message
-// firings are observed through OnDeliver, which runs at the firing; timer
-// firings by the woken proc, which runs before any other event can fire.
-// Every append to perProc[i] happens on the goroutine driving proc i's
-// shard, so the logs need no lock under either kernel.
+// and the per-proc logs. Message firings are observed through OnDeliver,
+// which runs at the firing; timer firings by the woken proc, which runs
+// before any other event can fire.
 func runOrderBody(t *testing.T, k *Kernel) (global []fired, perProc [][]fired) {
 	t.Helper()
 	plan, incoming := orderPlan(1998)
 	perProc = make([][]fired, orderProcs)
-	sequential := !k.Parallel()
 	record := func(f fired) {
-		if sequential {
-			global = append(global, f)
-		}
+		global = append(global, f)
 		perProc[f.proc] = append(perProc[f.proc], f)
 	}
 	k.OnDeliver = func(m *Message) {
 		record(fired{at: m.Arrival, proc: m.To, from: m.From})
 	}
 	for i := 0; i < orderProcs; i++ {
-		p := k.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
+		k.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
 			got := 0
 			for _, s := range plan[i] {
 				// One ring message per round keeps the blocking Recv below
@@ -111,9 +104,7 @@ func runOrderBody(t *testing.T, k *Kernel) (global []fired, perProc [][]fired) {
 				p.Recv()
 			}
 		})
-		k.SetShard(p, i%orderShards)
 	}
-	k.SetLookahead(Microsecond)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -140,9 +131,5 @@ func TestEventOrderGolden(t *testing.T) {
 	}
 	if got := hashFired(perProc...); got != goldenPerProcOrder {
 		t.Errorf("sequential per-proc order hash = %s, want %s", got, goldenPerProcOrder)
-	}
-	_, perProc = runOrderBody(t, NewParallelKernel(4))
-	if got := hashFired(perProc...); got != goldenPerProcOrder {
-		t.Errorf("sharded (4 workers) per-proc order hash = %s, want %s", got, goldenPerProcOrder)
 	}
 }

@@ -16,8 +16,7 @@
 // carries a content-derived ordering key — (delivery time, push time,
 // pushing proc, per-proc push sequence) — so the event order is a pure
 // function of what the procs do, never of how the kernel interleaves
-// them, and runs are bit-for-bit deterministic. The same key drives the
-// sharded parallel kernel (see parallel.go) to the identical event order.
+// them, and runs are bit-for-bit deterministic.
 //
 // The kernel is the substrate for godsm's simulated cluster: higher layers
 // (netsim, core) build message passing, RPC, and the DSM protocols on top
@@ -68,9 +67,8 @@ type Message struct {
 // nil. Ties at equal delivery time are broken by the push-time key (pushAt,
 // from, seq): events pushed earlier in virtual time fire first, then by
 // pushing proc id, then in per-proc push order. The key depends only on
-// the pushing proc's own deterministic execution — not on any global
-// counter — which is what lets the parallel kernel (parallel.go)
-// reproduce the sequential event order exactly.
+// the pushing proc's own deterministic execution, not on any global
+// counter.
 type event struct {
 	at     Time
 	pushAt Time   // pushing proc's clock at push
@@ -180,10 +178,6 @@ type Proc struct {
 
 	pushSeq uint64 // events pushed by this proc, for the ordering key
 
-	// sh is the owning shard under a parallel kernel (parallel.go); nil on
-	// a sequential or realtime kernel.
-	sh *shard
-
 	body func(*Proc)
 
 	// Realtime mode only (see realtime.go). The mailbox cond guards mbox;
@@ -226,10 +220,6 @@ type Kernel struct {
 	events eventHeap
 	live   int // procs not yet Done
 	failed error
-
-	// par, when non-nil, switches the kernel to sharded parallel execution
-	// with conservative lookahead (see parallel.go).
-	par *parState
 
 	// canceled carries an external stop request (Cancel); the event loop
 	// polls it between events. It is the only kernel field touched from
@@ -288,10 +278,6 @@ func (k *Kernel) push(p *Proc, e event) {
 	e.from = p.id
 	e.seq = p.pushSeq
 	p.pushSeq++
-	if k.par != nil {
-		k.par.route(p, e)
-		return
-	}
 	k.events.push(e)
 }
 
@@ -329,9 +315,6 @@ func (k *Kernel) Run() error {
 		return k.runRT()
 	}
 	defer k.stopProcs()
-	if k.par != nil {
-		return k.runPar()
-	}
 	// Start all procs at t=0 in spawn order.
 	k.live = len(k.procs)
 	for _, p := range k.procs {
@@ -353,8 +336,7 @@ func (k *Kernel) Run() error {
 
 // fire delivers one popped event: a timer wakes its proc (timers are only
 // pushed by Advance, so the proc is blocked there); a message joins the
-// destination mailbox and wakes the proc if it is blocked in Recv. Shared
-// by the sequential loop and the shards of a parallel kernel.
+// destination mailbox and wakes the proc if it is blocked in Recv.
 func (k *Kernel) fire(e event) {
 	p := k.procs[e.proc]
 	if e.msg == nil {
@@ -377,19 +359,15 @@ func (p *Proc) start() {
 }
 
 // host is the coroutine's function: it runs the body and, however the body
-// ends, retires the proc from its scheduler's live count (the kernel's, or
-// the owning shard's under a parallel kernel). errProcKilled — a stopped
-// proc, or one that called Fail — ends here; any other panic continues to
-// the goroutine that resumed the proc, with the stack it came from.
+// ends, retires the proc from the kernel's live count. errProcKilled — a
+// stopped proc, or one that called Fail — ends here; any other panic
+// continues to the goroutine that resumed the proc, with the stack it came
+// from.
 func (p *Proc) host(yield func(struct{}) bool) {
 	p.yield = yield
 	defer func() {
 		p.state = stateDone
-		if p.sh != nil {
-			p.sh.live--
-		} else {
-			p.k.live--
-		}
+		p.k.live--
 		if r := recover(); r != nil && r != errProcKilled {
 			panic(&ProcPanic{Proc: p.id, Name: p.name, Value: r, Stack: debug.Stack()})
 		}
@@ -421,10 +399,6 @@ func (k *Kernel) stopProcs() {
 
 // fail records the first error that aborts the simulation.
 func (k *Kernel) fail(err error) {
-	if k.par != nil {
-		k.par.fail(err)
-		return
-	}
 	if k.failed == nil {
 		k.failed = err
 	}

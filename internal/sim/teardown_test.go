@@ -25,20 +25,15 @@ func goroutinesSettleAt(t *testing.T, want int) {
 	}
 }
 
-// kernels runs a subtest on the sequential kernel and on the sharded one.
+// kernels runs a test body as the "sequential" subtest, on a fresh kernel.
 func kernels(t *testing.T, fn func(t *testing.T, k *Kernel)) {
 	t.Run("sequential", func(t *testing.T) { fn(t, NewKernel()) })
-	t.Run("sharded", func(t *testing.T) {
-		k := NewParallelKernel(4)
-		k.SetLookahead(Microsecond)
-		fn(t, k)
-	})
 }
 
-// spawnSharded spawns n procs running body, spread over four shards.
-func spawnSharded(k *Kernel, n int, body func(*Proc)) {
+// spawnN spawns n procs named p0..p<n-1> running body.
+func spawnN(k *Kernel, n int, body func(*Proc)) {
 	for i := 0; i < n; i++ {
-		k.SetShard(k.Spawn(fmt.Sprintf("p%d", i), body), i%4)
+		k.Spawn(fmt.Sprintf("p%d", i), body)
 	}
 }
 
@@ -57,7 +52,7 @@ func TestCancelLeavesNoGoroutines(t *testing.T) {
 	kernels(t, func(t *testing.T, k *Kernel) {
 		base := runtime.NumGoroutine()
 		unwound := 0
-		spawnSharded(k, 16, func(p *Proc) {
+		spawnN(k, 16, func(p *Proc) {
 			defer func() { unwound++ }() // stop runs the bodies' defers, one at a time
 			ringForever(p)
 		})
@@ -81,7 +76,7 @@ func TestFailLeavesNoGoroutines(t *testing.T) {
 		base := runtime.NumGoroutine()
 		boom := errors.New("boom")
 		afterFail := false
-		spawnSharded(k, 16, func(p *Proc) {
+		spawnN(k, 16, func(p *Proc) {
 			if p.ID() == 5 {
 				p.Advance(50 * Microsecond)
 				p.Fail(boom)
@@ -102,7 +97,7 @@ func TestFailLeavesNoGoroutines(t *testing.T) {
 func TestDeadlockLeavesNoGoroutines(t *testing.T) {
 	kernels(t, func(t *testing.T, k *Kernel) {
 		base := runtime.NumGoroutine()
-		spawnSharded(k, 16, func(p *Proc) {
+		spawnN(k, 16, func(p *Proc) {
 			p.Advance(Duration(1+p.ID()) * Microsecond)
 			p.Recv() // nobody sends
 		})
@@ -122,7 +117,7 @@ func TestBodyPanicReachesRunsCaller(t *testing.T) {
 	kernels(t, func(t *testing.T, k *Kernel) {
 		base := runtime.NumGoroutine()
 		boom := errors.New("boom")
-		spawnSharded(k, 8, func(p *Proc) {
+		spawnN(k, 8, func(p *Proc) {
 			if p.ID() == 3 {
 				p.Advance(20 * Microsecond)
 				panicInBody(boom)
@@ -159,7 +154,7 @@ func TestStoppedProcCallingKernelFromDefer(t *testing.T) {
 	kernels(t, func(t *testing.T, k *Kernel) {
 		base := runtime.NumGoroutine()
 		var calls []string
-		spawnSharded(k, 4, func(p *Proc) {
+		spawnN(k, 4, func(p *Proc) {
 			if p.ID() == 0 {
 				attempt := func(name string, call func()) {
 					defer func() {
@@ -192,14 +187,8 @@ func TestStoppedProcCallingKernelFromDefer(t *testing.T) {
 		if got := strings.Join(calls, ","); got != "advance,send,fail" {
 			t.Errorf("kernel calls turned away during the unwind: %q, want advance,send,fail", got)
 		}
-		live := k.live
-		if k.par != nil {
-			for _, sh := range k.par.shards {
-				live += sh.live
-			}
-		}
-		if live != 0 {
-			t.Errorf("live = %d after the run, want 0", live)
+		if k.live != 0 {
+			t.Errorf("live = %d after the run, want 0", k.live)
 		}
 		goroutinesSettleAt(t, base)
 	})

@@ -9,7 +9,7 @@ import (
 	"godsm/internal/metrics"
 )
 
-// Pool is the long-lived counterpart of Run: a fixed set of workers
+// Pool is the long-lived counterpart of Each: a fixed set of workers
 // draining a bounded queue of independent jobs, for servers (cmd/dsmd)
 // that accept work over time instead of fanning out one batch. Admission
 // is non-blocking — TrySubmit refuses when the queue is full, so a

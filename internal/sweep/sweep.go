@@ -3,10 +3,10 @@
 //
 // Every run of a sim.Kernel is self-contained — one goroutine, its own
 // address spaces, network, and cost model — so the only thing serializing
-// a protocol×application sweep is the caller's loop. Run keeps the job
-// list's order in its result slice, so callers that render tables from the
-// results stay byte-identical to a serial loop whatever the completion
-// order was.
+// a protocol×application sweep is the caller's loop. Each hands every call
+// its index, so callers that store results by index and render tables from
+// them stay byte-identical to a serial loop whatever the completion order
+// was.
 package sweep
 
 import (
@@ -26,30 +26,22 @@ func DefaultParallel(n int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Run executes jobs on up to parallel workers and returns their results in
-// job order. A job that fails stops new jobs from starting; the error
-// reported is the failing job with the lowest index, so the outcome does
-// not depend on scheduling. A panicking job is captured as an error rather
-// than tearing down the process.
-func Run[T any](parallel int, jobs []func() (T, error)) ([]T, error) {
-	return RunContext(context.Background(), parallel, jobs)
+// Each runs fn(0..n-1) on up to parallel workers. A call that fails stops
+// new calls from starting; the error reported is the failing call with the
+// lowest index, so the outcome does not depend on scheduling. A panicking
+// call is captured as an error rather than tearing down the process.
+func Each(parallel, n int, fn func(i int) error) error {
+	return EachContext(context.Background(), parallel, n, fn)
 }
 
-// RunContext is Run with cancellation: once ctx is cancelled, workers stop
-// claiming new jobs (jobs already running finish — simulation kernels are
-// not preempted here; pass ctx into the jobs themselves for that). If any
-// job failed, its error wins as in Run; otherwise a cancelled sweep
-// returns ctx's error.
-func RunContext[T any](ctx context.Context, parallel int, jobs []func() (T, error)) ([]T, error) {
-	results := make([]T, len(jobs))
-	if len(jobs) == 0 {
-		return results, ctx.Err()
-	}
-	parallel = DefaultParallel(parallel)
-	if parallel > len(jobs) {
-		parallel = len(jobs)
-	}
-	errs := make([]error, len(jobs))
+// EachContext is Each with cancellation: once ctx is cancelled, workers
+// stop claiming new indices (calls already running finish — simulation
+// kernels are not preempted here; pass ctx into fn for that). If any call
+// failed, its error wins as in Each; otherwise a cancelled sweep returns
+// ctx's error.
+func EachContext(ctx context.Context, parallel, n int, fn func(i int) error) error {
+	parallel = min(DefaultParallel(parallel), n)
+	errs := make([]error, n)
 	var next atomic.Int64
 	var failed atomic.Bool
 	var wg sync.WaitGroup
@@ -60,13 +52,9 @@ func RunContext[T any](ctx context.Context, parallel int, jobs []func() (T, erro
 				failed.Store(true)
 			}
 		}()
-		res, err := jobs[i]()
-		if err != nil {
-			errs[i] = err
+		if errs[i] = fn(i); errs[i] != nil {
 			failed.Store(true)
-			return
 		}
-		results[i] = res
 	}
 	wg.Add(parallel)
 	for w := 0; w < parallel; w++ {
@@ -74,7 +62,7 @@ func RunContext[T any](ctx context.Context, parallel int, jobs []func() (T, erro
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(jobs) || failed.Load() || ctx.Err() != nil {
+				if i >= n || failed.Load() || ctx.Err() != nil {
 					return
 				}
 				runOne(i)
@@ -84,28 +72,8 @@ func RunContext[T any](ctx context.Context, parallel int, jobs []func() (T, erro
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// Each runs fn(0..n-1) on up to parallel workers; the error (if any) is
-// from the lowest failing index, as in Run.
-func Each(parallel, n int, fn func(i int) error) error {
-	return EachContext(context.Background(), parallel, n, fn)
-}
-
-// EachContext is Each with cancellation, with RunContext's semantics.
-func EachContext(ctx context.Context, parallel, n int, fn func(i int) error) error {
-	jobs := make([]func() (struct{}, error), n)
-	for i := range jobs {
-		i := i
-		jobs[i] = func() (struct{}, error) { return struct{}{}, fn(i) }
-	}
-	_, err := RunContext(ctx, parallel, jobs)
-	return err
+	return ctx.Err()
 }

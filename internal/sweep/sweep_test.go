@@ -9,77 +9,72 @@ import (
 	"testing"
 )
 
-func TestRunOrdersResults(t *testing.T) {
+func TestEachVisitsEveryIndexOnce(t *testing.T) {
 	for _, parallel := range []int{1, 2, 8, 100} {
-		jobs := make([]func() (int, error), 50)
-		for i := range jobs {
-			i := i
-			jobs[i] = func() (int, error) { return i * i, nil }
-		}
-		got, err := Run(parallel, jobs)
-		if err != nil {
+		got := make([]int, 50)
+		if err := Each(parallel, len(got), func(i int) error {
+			got[i]++
+			return nil
+		}); err != nil {
 			t.Fatal(err)
 		}
 		for i, v := range got {
-			if v != i*i {
-				t.Fatalf("parallel=%d: result[%d] = %d, want %d", parallel, i, v, i*i)
+			if v != 1 {
+				t.Fatalf("parallel=%d: index %d ran %d times, want 1", parallel, i, v)
 			}
 		}
 	}
 }
 
-func TestRunEmpty(t *testing.T) {
-	got, err := Run[int](4, nil)
-	if err != nil || len(got) != 0 {
-		t.Fatalf("Run(nil) = %v, %v", got, err)
+func TestEachEmpty(t *testing.T) {
+	if err := Each(4, 0, func(int) error { panic("called") }); err != nil {
+		t.Fatalf("Each(0) = %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := EachContext(ctx, 4, 0, func(int) error { panic("called") }); !errors.Is(err, context.Canceled) {
+		t.Fatalf("EachContext(cancelled, 0) = %v, want context.Canceled", err)
 	}
 }
 
-func TestRunReportsLowestIndexError(t *testing.T) {
+func TestEachReportsLowestIndexError(t *testing.T) {
 	errA := errors.New("a")
 	errB := errors.New("b")
-	jobs := []func() (int, error){
-		func() (int, error) { return 1, nil },
-		func() (int, error) { return 0, errB },
-		func() (int, error) { return 0, errA },
-	}
+	errs := []error{nil, errB, errA}
 	// Whatever the scheduling, index 1's error wins over index 2's.
 	for trial := 0; trial < 20; trial++ {
-		if _, err := Run(3, jobs); !errors.Is(err, errB) {
+		if err := Each(3, len(errs), func(i int) error { return errs[i] }); !errors.Is(err, errB) {
 			t.Fatalf("trial %d: err = %v, want %v", trial, err, errB)
 		}
 	}
 }
 
-func TestRunStopsAfterFailure(t *testing.T) {
+func TestEachStopsAfterFailure(t *testing.T) {
 	var started atomic.Int64
-	jobs := make([]func() (int, error), 100)
-	for i := range jobs {
-		i := i
-		jobs[i] = func() (int, error) {
-			started.Add(1)
-			if i == 0 {
-				return 0, errors.New("boom")
-			}
-			return i, nil
-		}
-	}
-	// One worker: the failure at index 0 must keep the remaining 99 jobs
+	// One worker: the failure at index 0 must keep the remaining 99 calls
 	// from starting.
-	if _, err := Run(1, jobs); err == nil {
+	err := Each(1, 100, func(i int) error {
+		started.Add(1)
+		if i == 0 {
+			return errors.New("boom")
+		}
+		return nil
+	})
+	if err == nil {
 		t.Fatal("no error")
 	}
 	if started.Load() != 1 {
-		t.Fatalf("started %d jobs after a failure, want 1", started.Load())
+		t.Fatalf("started %d calls after a failure, want 1", started.Load())
 	}
 }
 
-func TestRunRecoversPanic(t *testing.T) {
-	jobs := []func() (string, error){
-		func() (string, error) { return "ok", nil },
-		func() (string, error) { panic("kaboom") },
-	}
-	_, err := Run(2, jobs)
+func TestEachRecoversPanic(t *testing.T) {
+	err := Each(2, 2, func(i int) error {
+		if i == 1 {
+			panic("kaboom")
+		}
+		return nil
+	})
 	if err == nil || !strings.Contains(err.Error(), "kaboom") {
 		t.Fatalf("err = %v, want panic capture", err)
 	}
@@ -116,32 +111,27 @@ func TestDefaultParallel(t *testing.T) {
 	}
 }
 
-func TestRunContextCancelStopsClaiming(t *testing.T) {
-	// One worker, a context cancelled by the first job: later jobs must
+func TestEachContextCancelStopsClaiming(t *testing.T) {
+	// One worker, a context cancelled by the first call: later calls must
 	// never start, and the sweep must report the cancellation.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var started atomic.Int64
-	jobs := make([]func() (int, error), 8)
-	for i := range jobs {
-		i := i
-		jobs[i] = func() (int, error) {
-			started.Add(1)
-			if i == 0 {
-				cancel()
-			}
-			return i, nil
+	err := EachContext(ctx, 1, 8, func(i int) error {
+		started.Add(1)
+		if i == 0 {
+			cancel()
 		}
-	}
-	_, err := RunContext(ctx, 1, jobs)
+		return nil
+	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if n := started.Load(); n != 1 {
-		t.Fatalf("%d jobs started after cancellation, want 1", n)
+		t.Fatalf("%d calls started after cancellation, want 1", n)
 	}
 
-	// With a live context, a job failure is reported as in Run.
+	// With a live context, a call failure is reported as in Each.
 	wantErr := fmt.Errorf("boom")
 	err = EachContext(context.Background(), 1, 3, func(i int) error { return wantErr })
 	if !errors.Is(err, wantErr) {

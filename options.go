@@ -37,7 +37,7 @@ func WithModel(m *CostModel) Option {
 
 // WithFaults arms deterministic network fault injection and with it the
 // reliability layer. Build plans by hand (FaultPlan, FaultRule, AnyNode)
-// or use ConformancePlan / UpdateLossPlan.
+// or use ConformancePlan.
 func WithFaults(plan *FaultPlan) Option {
 	return func(c *Config) { c.Faults = plan }
 }
@@ -88,17 +88,6 @@ func WithMetrics(reg *MetricsRegistry) Option {
 // available; an unknown name fails the run at startup.
 func WithTransport(name string) Option {
 	return func(c *Config) { c.Transport = name }
-}
-
-// WithParallelKernel shards the discrete-event kernel by node and drives
-// the shards with workers goroutines under conservative lookahead.
-// Results — event order, virtual times, checksums, every counter — are
-// bit-identical to the sequential kernel; only wall-clock time changes.
-// workers <= -1 selects GOMAXPROCS workers; 0 restores the sequential
-// kernel. Incompatible with a real transport (WithTransport "mem",
-// "udp", "tcp"), which already runs nodes concurrently.
-func WithParallelKernel(workers int) Option {
-	return func(c *Config) { c.KernelWorkers = workers }
 }
 
 // WithConfig applies fn to the assembled Config after every preceding
