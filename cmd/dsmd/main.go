@@ -14,6 +14,11 @@
 //	GET    /healthz              liveness probe
 //	/debug/pprof/*               Go profiling endpoints (with -pprof)
 //
+// A launch body is an apps.Spec, the document cmd/dsmrun builds from its
+// flags, and PATCH takes its faults section: a field left out keeps its
+// default, a field present is validated as given, and a rejected run is a
+// 400 whose message starts with the spec field at fault ("kv.shards").
+//
 // Every /v1 failure carries the uniform JSON error envelope
 // {"error": {"code": "<slug>", "message": "<text>"}} with the same
 // status codes as before; the flat {"error": "<text>"} body is

@@ -15,13 +15,11 @@ import (
 
 	"godsm/internal/apps"
 	"godsm/internal/core"
-	"godsm/internal/kvload"
 	"godsm/internal/metrics"
 	"godsm/internal/netsim"
 	"godsm/internal/sim"
 	"godsm/internal/sweep"
 	"godsm/internal/trace"
-	"godsm/internal/transport"
 )
 
 // config sizes a server.
@@ -70,222 +68,6 @@ type server struct {
 	sweepDone chan struct{}
 }
 
-// runRequest is the POST /v1/runs body. Zero values select the
-// defaults noted per field.
-type runRequest struct {
-	App   string `json:"app"`             // required: barnes expl fft jacobi shallow sor swm tomcat kv
-	Proto string `json:"proto"`           // required: seq lmw-i lmw-u bar-i bar-u bar-s bar-m
-	Procs int    `json:"procs,omitempty"` // default 8 (1 for seq)
-	Small bool   `json:"small,omitempty"` // reduced application size
-	// Transport selects the backend by internal/transport registry name:
-	// "sim" (or empty) keeps the virtual-time simulator; a real backend
-	// ("mem", "udp", "tcp") runs the cluster on the wall clock.
-	Transport string `json:"transport,omitempty"`
-	// Timeline attaches the per-epoch statistics history to the report.
-	Timeline bool `json:"timeline,omitempty"`
-	// PageStats attaches per-page attribution to the report.
-	PageStats bool          `json:"page_stats,omitempty"`
-	Faults    *faultRequest `json:"faults,omitempty"`
-	// KV parameterizes the datastore workload; only legal with app "kv".
-	KV *kvRequest `json:"kv,omitempty"`
-}
-
-// kvRequest carries the kv workload's traffic parameters, mirroring
-// dsmrun's -kv-* flags (see internal/apps.KVConfig). Zero values keep
-// the app's default (or -small) configuration; ops and write are
-// pointers because 0 is a meaningful setting for both.
-type kvRequest struct {
-	Ops        *int     `json:"ops,omitempty"`         // total op budget
-	Keys       int      `json:"keys,omitempty"`        // key-space size
-	Shards     int      `json:"shards,omitempty"`      // hash-shard count
-	Streams    int      `json:"streams,omitempty"`     // request streams
-	Dist       string   `json:"dist,omitempty"`        // uniform, zipf=S, hotset=FRAC/KEYS
-	Mix        string   `json:"mix,omitempty"`         // write=F,scan=F,scanlen=N
-	Write      *float64 `json:"write,omitempty"`       // put fraction override
-	Epochs     int      `json:"epochs,omitempty"`      // measured epochs
-	Seed       uint64   `json:"seed,omitempty"`        // traffic seed
-	StatsEvery int      `json:"stats_every,omitempty"` // stats-epoch period
-	Locks      bool     `json:"locks,omitempty"`       // per-shard locks (lmw only)
-}
-
-// kvApp resolves the kv workload configuration for the request,
-// mirroring dsmrun's -kv-* validation. reg, when non-nil, receives the
-// workload-level godsm_kv_* series (the server's registry, so they show
-// on GET /metrics alongside the engine counters).
-func (rr *runRequest) kvApp(proto core.ProtocolKind, reg *metrics.Registry) (*apps.App, error) {
-	cfg := apps.KVDefault()
-	if rr.Small {
-		cfg = apps.KVSmall()
-	}
-	if k := rr.KV; k != nil {
-		if k.Ops != nil {
-			if *k.Ops < 0 {
-				return nil, fmt.Errorf("kv.ops %d: the op budget cannot be negative", *k.Ops)
-			}
-			cfg.Ops = *k.Ops
-		}
-		if k.Keys != 0 {
-			cfg.Keys = k.Keys
-		}
-		if k.Shards != 0 {
-			cfg.Shards = k.Shards
-		}
-		if k.Streams != 0 {
-			cfg.Streams = k.Streams
-		}
-		if k.Dist != "" {
-			d, err := kvload.ParseDist(k.Dist)
-			if err != nil {
-				return nil, fmt.Errorf("kv.dist: %v", err)
-			}
-			cfg.Dist = d
-		}
-		if k.Mix != "" {
-			m, err := kvload.ParseMix(k.Mix)
-			if err != nil {
-				return nil, fmt.Errorf("kv.mix: %v", err)
-			}
-			cfg.Mix = m
-		}
-		if k.Write != nil {
-			if *k.Write < 0 || *k.Write > 1 {
-				return nil, fmt.Errorf("kv.write %g: must be a fraction in [0, 1]", *k.Write)
-			}
-			cfg.Mix.Write = *k.Write
-		}
-		if k.Epochs != 0 {
-			cfg.Measure = k.Epochs
-		}
-		if k.Seed != 0 {
-			cfg.Seed = k.Seed
-		}
-		if k.StatsEvery != 0 {
-			cfg.StatsEvery = k.StatsEvery
-		}
-		cfg.Locks = k.Locks
-	}
-	if cfg.Shards < rr.Procs {
-		return nil, fmt.Errorf("kv.shards %d: want at least one shard per node (procs %d)", cfg.Shards, rr.Procs)
-	}
-	if cfg.Locks && proto != core.ProtoLmwI && proto != core.ProtoLmwU && proto != core.ProtoSeq {
-		return nil, fmt.Errorf("kv.locks needs a homeless protocol (lmw-i, lmw-u); %v is barrier-only", proto)
-	}
-	cfg.Metrics = reg
-	return apps.KV(cfg)
-}
-
-// faultRequest arms deterministic fault injection, mirroring dsmrun's
-// fault flags. It doubles as the PATCH /v1/runs/{id}/faults body, where
-// crashes are rejected (a crash schedule must be set at launch).
-type faultRequest struct {
-	Loss    float64 `json:"loss,omitempty"`    // drop fraction of remote packets
-	Dup     float64 `json:"dup,omitempty"`     // duplicate fraction
-	Reorder float64 `json:"reorder,omitempty"` // delay (reorder) fraction
-	// DelayNs bounds the extra latency for reordered packets (0 = 500µs);
-	// with Reorder 0 and DelayNs > 0, every packet is delayed.
-	DelayNs int64 `json:"delay_ns,omitempty"`
-	Seed    int64 `json:"seed,omitempty"` // schedule seed; default 1
-	// Crashes schedules crash-stop failures: node N dies at barrier
-	// epoch E and, when restart_after is given, rejoins that many
-	// epochs later (restart_after 0 restarts in place; omitted means
-	// the node never comes back).
-	Crashes []crashRequest `json:"crashes,omitempty"`
-}
-
-// crashRequest is one crash-stop rule in a faultRequest.
-type crashRequest struct {
-	Node         int  `json:"node"`
-	Epoch        int  `json:"epoch"`
-	RestartAfter *int `json:"restart_after,omitempty"`
-}
-
-// check validates the knobs that need no cluster context.
-func (f *faultRequest) check() error {
-	for _, p := range []struct {
-		name string
-		val  float64
-	}{{"loss", f.Loss}, {"dup", f.Dup}, {"reorder", f.Reorder}} {
-		if p.val < 0 || p.val > 1 {
-			return fmt.Errorf("faults.%s %g: must be a probability in [0, 1]", p.name, p.val)
-		}
-	}
-	if f.DelayNs < 0 {
-		return fmt.Errorf("faults.delay_ns %d: extra latency cannot be negative", f.DelayNs)
-	}
-	return nil
-}
-
-// crashRules validates and converts the crash schedule, mirroring
-// dsmrun's -crash rules (the same schedules the engine would reject).
-func (f *faultRequest) crashRules(procs int, proto core.ProtocolKind) ([]netsim.CrashRule, error) {
-	if len(f.Crashes) == 0 {
-		return nil, nil
-	}
-	if proto == core.ProtoSeq {
-		return nil, fmt.Errorf("faults.crashes need a DSM protocol; seq has no cluster to crash")
-	}
-	seen := make(map[int]bool)
-	var rules []netsim.CrashRule
-	for _, c := range f.Crashes {
-		if c.Node == 0 {
-			return nil, fmt.Errorf("faults.crashes node 0: node 0 hosts the barrier manager and the reduction root; it cannot crash")
-		}
-		if c.Node < 1 || c.Node >= procs {
-			return nil, fmt.Errorf("faults.crashes node %d: cluster has nodes 0..%d (and node 0 cannot crash)", c.Node, procs-1)
-		}
-		if seen[c.Node] {
-			return nil, fmt.Errorf("faults.crashes node %d appears twice; one rule per node", c.Node)
-		}
-		seen[c.Node] = true
-		if c.Epoch < 1 {
-			return nil, fmt.Errorf("faults.crashes epoch %d: the first crashable barrier is epoch 1 (epoch 0 is initialization)", c.Epoch)
-		}
-		rule := netsim.CrashRule{Node: c.Node, Epoch: c.Epoch, RestartAfter: -1}
-		if c.RestartAfter != nil {
-			if *c.RestartAfter < 0 {
-				return nil, fmt.Errorf("faults.crashes restart_after %d: must be >= 0 (omit the field for a node that never restarts)", *c.RestartAfter)
-			}
-			rule.RestartAfter = *c.RestartAfter
-		}
-		rules = append(rules, rule)
-	}
-	return rules, nil
-}
-
-// plan assembles the netsim plan; nil when nothing is armed.
-func (f *faultRequest) plan(procs int, proto core.ProtocolKind) (*netsim.FaultPlan, error) {
-	if err := f.check(); err != nil {
-		return nil, err
-	}
-	crashes, err := f.crashRules(procs, proto)
-	if err != nil {
-		return nil, err
-	}
-	if f.Loss == 0 && f.Dup == 0 && f.Reorder == 0 && f.DelayNs == 0 && len(crashes) == 0 {
-		return nil, nil
-	}
-	seed := f.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	plan := &netsim.FaultPlan{Seed: seed, Crashes: crashes}
-	if f.Loss > 0 || f.Dup > 0 || f.Reorder > 0 || f.DelayNs > 0 {
-		reorder := f.Reorder
-		if reorder == 0 && f.DelayNs > 0 {
-			reorder = 1
-		}
-		plan.Rules = []netsim.FaultRule{{
-			From:    netsim.AnyNode,
-			To:      netsim.AnyNode,
-			Drop:    f.Loss,
-			Dup:     f.Dup,
-			Reorder: reorder,
-			Delay:   sim.Duration(f.DelayNs),
-		}}
-	}
-	return plan, nil
-}
-
 // sessionState is a session's lifecycle phase.
 type sessionState string
 
@@ -300,7 +82,7 @@ const (
 // session is one simulation run owned by the server.
 type session struct {
 	id     string
-	req    runRequest
+	req    apps.Spec // as resolved: procs filled in
 	bcast  *trace.Broadcaster
 	cancel context.CancelFunc
 	done   chan struct{} // closed when the run finishes, after report/err are set
@@ -333,7 +115,7 @@ func (ss *session) terminalSince() (time.Time, bool) {
 type sessionDoc struct {
 	ID       string       `json:"id"`
 	State    sessionState `json:"state"`
-	Request  runRequest   `json:"request"`
+	Request  apps.Spec    `json:"request"`
 	Error    string       `json:"error,omitempty"`
 	Created  time.Time    `json:"created"`
 	Started  *time.Time   `json:"started,omitempty"`
@@ -536,6 +318,18 @@ func codeSlug(status int) string {
 	return "internal"
 }
 
+// decode reads a request body into v, rejecting unknown fields; on
+// failure it has already answered 400.
+func decode(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+		return false
+	}
+	return true
+}
+
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -544,82 +338,14 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
-// validate resolves a run request against the same rules dsmrun enforces
-// on its flags: reject what the engine would silently misinterpret. reg
-// (which may be nil) receives the kv workload's godsm_kv_* series.
-func (rr *runRequest) validate(reg *metrics.Registry) (*apps.App, core.ProtocolKind, *netsim.FaultPlan, error) {
-	proto, err := core.ParseProtocol(rr.Proto)
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	if rr.Procs == 0 {
-		rr.Procs = 8
-	}
-	if proto == core.ProtoSeq {
-		rr.Procs = 1
-	}
-	if rr.Procs < 1 {
-		return nil, 0, nil, fmt.Errorf("procs %d: cluster needs at least 1 node", rr.Procs)
-	}
-	if rr.Transport != "" {
-		e, ok := transport.Lookup(rr.Transport)
-		if !ok {
-			return nil, 0, nil, fmt.Errorf("transport %q: unknown backend (have %s)",
-				rr.Transport, strings.Join(transport.Names(), ", "))
-		}
-		if e.Virtual {
-			rr.Transport = "" // "sim" is the default simulator
-		}
-	}
-	if rr.Transport != "" && proto == core.ProtoSeq {
-		return nil, 0, nil, fmt.Errorf("transport %s needs a parallel protocol; seq has no remote traffic", rr.Transport)
-	}
-	var app *apps.App
-	if rr.App == "kv" {
-		if app, err = rr.kvApp(proto, reg); err != nil {
-			return nil, 0, nil, err
-		}
-	} else {
-		if rr.KV != nil {
-			return nil, 0, nil, fmt.Errorf("kv parameters only apply to app %q (got app %q)", "kv", rr.App)
-		}
-		list := apps.All()
-		if rr.Small {
-			list = apps.Small()
-		}
-		for _, a := range list {
-			if a.Name == rr.App {
-				app = a
-			}
-		}
-		if app == nil {
-			return nil, 0, nil, fmt.Errorf("unknown application %q (have %s)", rr.App, strings.Join(apps.Names(), ", "))
-		}
-	}
-	if app.Dynamic && (proto == core.ProtoBarS || proto == core.ProtoBarM) {
-		return nil, 0, nil, fmt.Errorf("%s has a dynamic sharing pattern; %v would abort (the paper excludes it)", app.Name, proto)
-	}
-	var plan *netsim.FaultPlan
-	if f := rr.Faults; f != nil {
-		plan, err = f.plan(rr.Procs, proto)
-		if err != nil {
-			return nil, 0, nil, err
-		}
-	}
-	return app, proto, plan, nil
-}
-
 // handleLaunch admits a run: validate, register the session, and submit
 // to the pool. 429 when the pool is saturated, 503 when draining.
 func (s *server) handleLaunch(w http.ResponseWriter, r *http.Request) {
-	var req runRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	var req apps.Spec
+	if !decode(w, r, &req) {
 		return
 	}
-	app, proto, plan, err := req.validate(s.reg)
+	run, err := req.Resolve(s.reg)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -634,24 +360,18 @@ func (s *server) handleLaunch(w http.ResponseWriter, r *http.Request) {
 		state:   stateQueued,
 		created: time.Now(),
 	}
-	opts := apps.RunOpts{
-		Timeline:  req.Timeline,
-		PageStats: req.PageStats,
-		Transport: req.Transport,
-		Faults:    plan,
-		Sinks:     []trace.Sink{ss.bcast},
-		Metrics:   s.reg,
-		// Capture the cluster's live network handle so PATCH
-		// /v1/runs/{id}/faults can swap fault rules mid-run. netsim's
-		// mutating entry points lock internally, so the handler may call
-		// them from outside the simulation.
-		Configure: func(cfg *core.Config) {
-			cfg.NetHook = func(n *netsim.Net) {
-				ss.mu.Lock()
-				ss.net = n
-				ss.mu.Unlock()
-			}
-		},
+	opts := run.Opts
+	opts.Sinks = []trace.Sink{ss.bcast}
+	// Capture the cluster's live network handle so PATCH
+	// /v1/runs/{id}/faults can swap fault rules mid-run. netsim's mutating
+	// entry points lock internally, so the handler may call them from
+	// outside the simulation.
+	opts.Configure = func(cfg *core.Config) {
+		cfg.NetHook = func(n *netsim.Net) {
+			ss.mu.Lock()
+			ss.net = n
+			ss.mu.Unlock()
+		}
 	}
 
 	s.mu.Lock()
@@ -667,12 +387,12 @@ func (s *server) handleLaunch(w http.ResponseWriter, r *http.Request) {
 	s.order = append(s.order, ss.id)
 	s.mu.Unlock()
 
-	run := func() error {
+	job := func() error {
 		ss.mu.Lock()
 		ss.state = stateRunning
 		ss.started = time.Now()
 		ss.mu.Unlock()
-		rep, err := app.RunWithContext(ctx, req.Procs, proto, opts)
+		rep, err := run.App.RunWithContext(ctx, run.Procs, run.Proto, opts)
 		ss.mu.Lock()
 		ss.finished = time.Now()
 		ss.report = rep
@@ -703,7 +423,7 @@ func (s *server) handleLaunch(w http.ResponseWriter, r *http.Request) {
 		cancel()
 	}
 	s.activeSessions.Inc()
-	if err := s.pool.TrySubmit(run, finish); err != nil {
+	if err := s.pool.TrySubmit(job, finish); err != nil {
 		s.activeSessions.Dec()
 		s.mu.Lock()
 		delete(s.sessions, ss.id)
@@ -770,7 +490,8 @@ func (s *server) handleCancel(w http.ResponseWriter, r *http.Request) {
 }
 
 // handlePatchFaults swaps a running session's fault rules live. The body
-// is a faultRequest; an all-zero body clears every rule. Crash rules
+// is an apps.FaultSpec, held to the rules it would meet at launch; an
+// all-zero body clears every rule. Crash rules
 // cannot be added mid-run (the checkpoint machinery must arm at launch),
 // and the session must have been launched with a fault plan — both are
 // 409s from netsim. 404 unknown id, 400 invalid knobs, 409 when the
@@ -781,23 +502,17 @@ func (s *server) handlePatchFaults(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no such run %q", r.PathValue("id"))
 		return
 	}
-	var f faultRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&f); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	spec := ss.req // resolved at launch, so only the new faults can fail
+	spec.Faults = new(apps.FaultSpec)
+	if !decode(w, r, spec.Faults) {
 		return
 	}
-	proto, err := core.ParseProtocol(ss.req.Proto) // validated at launch
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	plan, err := f.plan(ss.req.Procs, proto)
+	run, err := spec.Resolve(nil)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	plan := run.Opts.Faults
 	if plan == nil {
 		// "Clear every rule" is a valid swap; SwapFaults wants a plan.
 		plan = &netsim.FaultPlan{Seed: 1}

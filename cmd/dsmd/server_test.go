@@ -24,7 +24,7 @@ func newTestServer(t *testing.T, cfg config) (*server, *httptest.Server) {
 }
 
 // launch POSTs a run request and decodes the accepted session document.
-func launch(t *testing.T, ts *httptest.Server, req runRequest) sessionDoc {
+func launch(t *testing.T, ts *httptest.Server, req apps.Spec) sessionDoc {
 	t.Helper()
 	body, _ := json.Marshal(req)
 	resp, err := http.Post(ts.URL+"/v1/runs", "application/json", bytes.NewReader(body))
@@ -43,6 +43,8 @@ func launch(t *testing.T, ts *httptest.Server, req runRequest) sessionDoc {
 	}
 	return doc
 }
+
+func ptr[T any](v T) *T { return &v }
 
 // getDoc fetches a session's raw status document.
 func getDoc(t *testing.T, ts *httptest.Server, id string) (int, []byte) {
@@ -137,7 +139,7 @@ func readSSE(t *testing.T, ts *httptest.Server, id, query string) ([]sseEvent, s
 // in-process run of the same configuration produces.
 func TestE2ESimRun(t *testing.T) {
 	_, ts := newTestServer(t, config{workers: 2, queueCap: 8, traceCap: 1 << 16})
-	doc := launch(t, ts, runRequest{App: "jacobi", Proto: "bar-u", Procs: 4, Small: true, Timeline: true})
+	doc := launch(t, ts, apps.Spec{App: "jacobi", Proto: "bar-u", Procs: ptr(4), Small: true, Timeline: true})
 	if doc.State != stateQueued && doc.State != stateRunning {
 		t.Fatalf("launch state = %s", doc.State)
 	}
@@ -208,8 +210,8 @@ func appByName(t *testing.T, name string, small bool) *apps.App {
 // and checks /metrics exposes non-zero core and transport counters.
 func TestMetricsExposition(t *testing.T) {
 	_, ts := newTestServer(t, config{workers: 2, queueCap: 8})
-	a := launch(t, ts, runRequest{App: "jacobi", Proto: "bar-u", Procs: 4, Small: true})
-	b := launch(t, ts, runRequest{App: "jacobi", Proto: "bar-u", Procs: 2, Small: true, Transport: "mem"})
+	a := launch(t, ts, apps.Spec{App: "jacobi", Proto: "bar-u", Procs: ptr(4), Small: true})
+	b := launch(t, ts, apps.Spec{App: "jacobi", Proto: "bar-u", Procs: ptr(2), Small: true, Transport: "mem"})
 	waitState(t, ts, a.ID)
 	waitState(t, ts, b.ID)
 
@@ -265,7 +267,7 @@ func TestCancelMidRun(t *testing.T) {
 	if n := simProcGoroutines(); n != 0 {
 		t.Fatalf("%d simulator procs alive before the launch", n)
 	}
-	doc := launch(t, ts, runRequest{App: "barnes", Proto: "bar-u", Procs: 8})
+	doc := launch(t, ts, apps.Spec{App: "barnes", Proto: "bar-u", Procs: ptr(8)})
 	for deadline := time.Now().Add(time.Minute); simProcGoroutines() < 16; {
 		if time.Now().After(deadline) {
 			t.Fatal("the run never started its procs")
@@ -314,7 +316,7 @@ func TestSlowSubscriberDrops(t *testing.T) {
 	if err := srv.pool.TrySubmit(func() error { <-gate; return nil }, func(error) {}); err != nil {
 		t.Fatal(err)
 	}
-	b := launch(t, ts, runRequest{App: "jacobi", Proto: "bar-u", Procs: 2, Small: true})
+	b := launch(t, ts, apps.Spec{App: "jacobi", Proto: "bar-u", Procs: ptr(2), Small: true})
 	sub := srv.lookup(b.ID).bcast.Subscribe(1)
 	close(gate)
 	waitState(t, ts, b.ID)
@@ -350,29 +352,26 @@ func TestLaunchValidation(t *testing.T) {
 	cases := []struct {
 		name string
 		body string
+		want string // error.message starts with this, then a space
 	}{
-		{"unknown app", `{"app":"nope","proto":"bar-u"}`},
-		{"unknown proto", `{"app":"jacobi","proto":"bar-x"}`},
-		{"dynamic app under overdrive", `{"app":"barnes","proto":"bar-s"}`},
-		{"seq over transport", `{"app":"jacobi","proto":"seq","transport":"mem"}`},
-		{"unknown transport", `{"app":"jacobi","proto":"bar-u","transport":"rdma"}`},
-		{"loss above 1", `{"app":"jacobi","proto":"bar-u","faults":{"loss":1.5}}`},
-		{"negative delay", `{"app":"jacobi","proto":"bar-u","faults":{"delay_ns":-1}}`},
-		{"unknown field", `{"app":"jacobi","proto":"bar-u","bogus":1}`},
-		{"negative procs", `{"app":"jacobi","proto":"bar-u","procs":-2}`},
+		{"unknown app", `{"app":"nope","proto":"bar-u"}`, "app"},
+		{"unknown proto", `{"app":"jacobi","proto":"bar-x"}`, "proto"},
+		{"dynamic app under overdrive", `{"app":"barnes","proto":"bar-s"}`, "proto"},
+		{"seq over transport", `{"app":"jacobi","proto":"seq","transport":"mem"}`, "transport"},
+		{"unknown transport", `{"app":"jacobi","proto":"bar-u","transport":"rdma"}`, "transport"},
+		{"loss above 1", `{"app":"jacobi","proto":"bar-u","faults":{"loss":1.5}}`, "faults.loss"},
+		{"negative delay", `{"app":"jacobi","proto":"bar-u","faults":{"delay_ns":-1}}`, "faults.delay_ns"},
+		{"unknown field", `{"app":"jacobi","proto":"bar-u","bogus":1}`, "bad request body:"},
+		{"negative procs", `{"app":"jacobi","proto":"bar-u","procs":-2}`, "procs"},
+		{"explicit zero procs", `{"app":"jacobi","proto":"bar-u","procs":0}`, "procs"},
+		{"procs past the copyset bound", `{"app":"jacobi","proto":"bar-u","procs":1000}`, "procs"},
+		{"small dynamic app under overdrive", `{"app":"barnes","proto":"bar-s","small":true}`, "proto"},
 	}
 	for _, tc := range cases {
-		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(tc.body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: %d, want 400", tc.name, resp.StatusCode)
-		}
+		postRejected(t, ts, tc.name, tc.body, tc.want)
 	}
 	// Bad SSE parameters are 400s too, against a real session.
-	doc := launch(t, ts, runRequest{App: "jacobi", Proto: "bar-u", Procs: 2, Small: true})
+	doc := launch(t, ts, apps.Spec{App: "jacobi", Proto: "bar-u", Procs: ptr(2), Small: true})
 	waitState(t, ts, doc.ID)
 	for _, q := range []string{"?kinds=bogus", "?buffer=0", "?buffer=x"} {
 		resp, err := http.Get(ts.URL + "/v1/runs/" + doc.ID + "/events" + q)
@@ -383,6 +382,24 @@ func TestLaunchValidation(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("events%s: %d, want 400", q, resp.StatusCode)
 		}
+	}
+}
+
+// postRejected POSTs a launch body and requires a 400 whose message
+// starts with want: the spec field at fault, or the decoder's complaint.
+func postRejected(t *testing.T, ts *httptest.Server, name, body, want string) {
+	t.Helper()
+	resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var env map[string]errorBody
+	_ = json.NewDecoder(resp.Body).Decode(&env)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("%s: %d, want 400", name, resp.StatusCode)
+	} else if msg := env["error"].Message; !strings.HasPrefix(msg, want+" ") {
+		t.Errorf("%s: message %q does not name %q", name, msg, want)
 	}
 }
 
@@ -414,9 +431,9 @@ func TestWorkersFieldRemoved(t *testing.T) {
 func TestCrashPlanRun(t *testing.T) {
 	restart := 0
 	_, ts := newTestServer(t, config{workers: 1, queueCap: 1})
-	doc := launch(t, ts, runRequest{
-		App: "jacobi", Proto: "bar-u", Procs: 4, Small: true,
-		Faults: &faultRequest{Crashes: []crashRequest{{Node: 2, Epoch: 3, RestartAfter: &restart}}},
+	doc := launch(t, ts, apps.Spec{
+		App: "jacobi", Proto: "bar-u", Procs: ptr(4), Small: true,
+		Faults: &apps.FaultSpec{Crashes: []apps.CrashSpec{{Node: 2, Epoch: 3, RestartAfter: &restart}}},
 	})
 	final := waitState(t, ts, doc.ID)
 	if final.State != stateDone {
@@ -448,23 +465,18 @@ func TestCrashPlanValidation(t *testing.T) {
 	cases := []struct {
 		name string
 		body string
+		want string // error.message starts with this, then a space
 	}{
-		{"node zero", `{"app":"jacobi","proto":"bar-u","procs":4,"faults":{"crashes":[{"node":0,"epoch":3}]}}`},
-		{"node out of range", `{"app":"jacobi","proto":"bar-u","procs":4,"faults":{"crashes":[{"node":4,"epoch":3}]}}`},
-		{"epoch zero", `{"app":"jacobi","proto":"bar-u","procs":4,"faults":{"crashes":[{"node":2,"epoch":0}]}}`},
-		{"duplicate node", `{"app":"jacobi","proto":"bar-u","procs":4,"faults":{"crashes":[{"node":2,"epoch":3},{"node":2,"epoch":5}]}}`},
-		{"negative restart", `{"app":"jacobi","proto":"bar-u","procs":4,"faults":{"crashes":[{"node":2,"epoch":3,"restart_after":-1}]}}`},
-		{"crash under seq", `{"app":"jacobi","proto":"seq","faults":{"crashes":[{"node":1,"epoch":3}]}}`},
+		{"node zero", `{"app":"jacobi","proto":"bar-u","procs":4,"faults":{"crashes":[{"node":0,"epoch":3}]}}`, "faults.crashes"},
+		{"node out of range", `{"app":"jacobi","proto":"bar-u","procs":4,"faults":{"crashes":[{"node":4,"epoch":3}]}}`, "faults.crashes"},
+		{"epoch zero", `{"app":"jacobi","proto":"bar-u","procs":4,"faults":{"crashes":[{"node":2,"epoch":0}]}}`, "faults.crashes"},
+		{"duplicate node", `{"app":"jacobi","proto":"bar-u","procs":4,"faults":{"crashes":[{"node":2,"epoch":3},{"node":2,"epoch":5}]}}`, "faults.crashes"},
+		{"negative restart", `{"app":"jacobi","proto":"bar-u","procs":4,"faults":{"crashes":[{"node":2,"epoch":3,"restart_after":-1}]}}`, "faults.crashes.restart_after"},
+		{"crash under seq", `{"app":"jacobi","proto":"seq","faults":{"crashes":[{"node":1,"epoch":3}]}}`, "faults.crashes"},
+		{"crash over mem", `{"app":"jacobi","proto":"bar-u","procs":4,"small":true,"transport":"mem","faults":{"crashes":[{"node":2,"epoch":3}]}}`, "faults.crashes"},
 	}
 	for _, tc := range cases {
-		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(tc.body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: %d, want 400", tc.name, resp.StatusCode)
-		}
+		postRejected(t, ts, tc.name, tc.body, tc.want)
 	}
 }
 
@@ -502,9 +514,9 @@ func TestPatchFaultsLive(t *testing.T) {
 	// Full-size barnes stays in flight for seconds, so every PATCH below
 	// lands mid-run; the armed (if quiet) launch plan is what makes live
 	// swaps possible.
-	doc := launch(t, ts, runRequest{
-		App: "barnes", Proto: "bar-u", Procs: 8,
-		Faults: &faultRequest{Loss: 0.01, Seed: 7},
+	doc := launch(t, ts, apps.Spec{
+		App: "barnes", Proto: "bar-u", Procs: ptr(8),
+		Faults: &apps.FaultSpec{Loss: 0.01, Seed: ptr[int64](7)},
 	})
 	deadline := time.Now().Add(time.Minute)
 	for {
@@ -548,7 +560,7 @@ func TestPatchFaultsLive(t *testing.T) {
 // no injector to swap; the PATCH is a 409, not a crash.
 func TestPatchFaultsUnarmed(t *testing.T) {
 	_, ts := newTestServer(t, config{workers: 1, queueCap: 4})
-	doc := launch(t, ts, runRequest{App: "barnes", Proto: "bar-u", Procs: 8})
+	doc := launch(t, ts, apps.Spec{App: "barnes", Proto: "bar-u", Procs: ptr(8)})
 	deadline := time.Now().Add(time.Minute)
 	for {
 		code, body := patchFaults(t, ts, doc.ID, `{"loss":0.2}`)
@@ -576,7 +588,7 @@ func TestSessionGC(t *testing.T) {
 		sessionTTL: 50 * time.Millisecond,
 		sweepEvery: 10 * time.Millisecond,
 	})
-	doc := launch(t, ts, runRequest{App: "jacobi", Proto: "bar-u", Procs: 2, Small: true})
+	doc := launch(t, ts, apps.Spec{App: "jacobi", Proto: "bar-u", Procs: ptr(2), Small: true})
 	waitState(t, ts, doc.ID)
 
 	deadline := time.Now().Add(time.Minute)
@@ -612,7 +624,7 @@ func TestSessionGCCountCap(t *testing.T) {
 	srv, ts := newTestServer(t, config{workers: 2, queueCap: 8, maxSessions: 2})
 	var ids []string
 	for i := 0; i < 3; i++ {
-		doc := launch(t, ts, runRequest{App: "jacobi", Proto: "bar-u", Procs: 2, Small: true})
+		doc := launch(t, ts, apps.Spec{App: "jacobi", Proto: "bar-u", Procs: ptr(2), Small: true})
 		waitState(t, ts, doc.ID)
 		ids = append(ids, doc.ID)
 	}
@@ -637,7 +649,7 @@ func TestSessionGCCountCap(t *testing.T) {
 	if err := srv.pool.TrySubmit(func() error { <-gate; return nil }, func(error) {}); err != nil {
 		t.Fatal(err)
 	}
-	live := launch(t, ts, runRequest{App: "jacobi", Proto: "bar-u", Procs: 2, Small: true})
+	live := launch(t, ts, apps.Spec{App: "jacobi", Proto: "bar-u", Procs: ptr(2), Small: true})
 	if got := srv.sweepExpired(time.Now()); got != 1 {
 		t.Fatalf("second sweep evicted %d sessions, want 1 (the older finished one)", got)
 	}
@@ -651,7 +663,7 @@ func TestSessionGCCountCap(t *testing.T) {
 // TestSaturation turns a full pool into 429, not queuing.
 func TestSaturation(t *testing.T) {
 	_, ts := newTestServer(t, config{workers: 1, queueCap: 0})
-	doc := launch(t, ts, runRequest{App: "barnes", Proto: "bar-u", Procs: 8}) // full-size barnes: reliably stays busy
+	doc := launch(t, ts, apps.Spec{App: "barnes", Proto: "bar-u", Procs: ptr(8)}) // full-size barnes: reliably stays busy
 
 	body := `{"app":"jacobi","proto":"bar-u","procs":2,"small":true}`
 	resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
@@ -689,7 +701,7 @@ func TestSaturation(t *testing.T) {
 // cancels in-flight runs, and a draining server refuses new launches.
 func TestDrain(t *testing.T) {
 	srv, ts := newTestServer(t, config{workers: 2, queueCap: 4})
-	doc := launch(t, ts, runRequest{App: "barnes", Proto: "bar-u", Procs: 8}) // full-size barnes: reliably outlives the drain window
+	doc := launch(t, ts, apps.Spec{App: "barnes", Proto: "bar-u", Procs: ptr(8)}) // full-size barnes: reliably outlives the drain window
 
 	cancelled := srv.drain(50 * time.Millisecond)
 	if len(cancelled) != 1 || cancelled[0] != doc.ID {
@@ -713,7 +725,7 @@ func TestDrain(t *testing.T) {
 // TestDrainWaitsForCompletion: a drain with headroom lets runs finish.
 func TestDrainWaitsForCompletion(t *testing.T) {
 	srv, ts := newTestServer(t, config{workers: 2, queueCap: 4})
-	doc := launch(t, ts, runRequest{App: "jacobi", Proto: "bar-u", Procs: 2, Small: true})
+	doc := launch(t, ts, apps.Spec{App: "jacobi", Proto: "bar-u", Procs: ptr(2), Small: true})
 	if cancelled := srv.drain(2 * time.Minute); len(cancelled) != 0 {
 		t.Fatalf("drain cancelled %v, want none", cancelled)
 	}
@@ -727,9 +739,9 @@ func TestDrainWaitsForCompletion(t *testing.T) {
 // show up in the report and the fault-verdict counters.
 func TestFaultedRun(t *testing.T) {
 	_, ts := newTestServer(t, config{workers: 1, queueCap: 1})
-	doc := launch(t, ts, runRequest{
-		App: "jacobi", Proto: "bar-u", Procs: 4, Small: true,
-		Faults: &faultRequest{Loss: 0.05, Seed: 7},
+	doc := launch(t, ts, apps.Spec{
+		App: "jacobi", Proto: "bar-u", Procs: ptr(4), Small: true,
+		Faults: &apps.FaultSpec{Loss: 0.05, Seed: ptr[int64](7)},
 	})
 	final := waitState(t, ts, doc.ID)
 	if final.State != stateDone {
@@ -774,27 +786,23 @@ func TestKVLaunchValidation(t *testing.T) {
 	cases := []struct {
 		name string
 		body string
+		want string // error.message starts with this, then a space
 	}{
-		{"negative ops", `{"app":"kv","proto":"bar-u","kv":{"ops":-1}}`},
-		{"negative zipf", `{"app":"kv","proto":"bar-u","kv":{"dist":"zipf=-1"}}`},
-		{"unknown dist", `{"app":"kv","proto":"bar-u","kv":{"dist":"pareto"}}`},
-		{"write above one", `{"app":"kv","proto":"bar-u","kv":{"write":1.5}}`},
-		{"bad mix", `{"app":"kv","proto":"bar-u","kv":{"mix":"reads=1"}}`},
-		{"shards below procs", `{"app":"kv","proto":"bar-u","procs":8,"kv":{"shards":4}}`},
-		{"locks under bar", `{"app":"kv","proto":"bar-u","kv":{"locks":true}}`},
-		{"zero keys", `{"app":"kv","proto":"bar-u","kv":{"keys":-1}}`},
-		{"kv params on stencil", `{"app":"jacobi","proto":"bar-u","kv":{"ops":100}}`},
-		{"unknown kv field", `{"app":"kv","proto":"bar-u","kv":{"bogus":1}}`},
+		{"negative ops", `{"app":"kv","proto":"bar-u","kv":{"ops":-1}}`, "kv.ops"},
+		{"negative zipf", `{"app":"kv","proto":"bar-u","kv":{"dist":"zipf=-1"}}`, "kv.dist"},
+		{"unknown dist", `{"app":"kv","proto":"bar-u","kv":{"dist":"pareto"}}`, "kv.dist"},
+		{"write above one", `{"app":"kv","proto":"bar-u","kv":{"write":1.5}}`, "kv.write"},
+		{"bad mix", `{"app":"kv","proto":"bar-u","kv":{"mix":"reads=1"}}`, "kv.mix"},
+		{"shards below procs", `{"app":"kv","proto":"bar-u","procs":8,"kv":{"shards":4}}`, "kv.shards"},
+		{"locks under bar", `{"app":"kv","proto":"bar-u","kv":{"locks":true}}`, "kv.locks"},
+		{"zero keys", `{"app":"kv","proto":"bar-u","kv":{"keys":-1}}`, "kv.keys"},
+		{"kv params on stencil", `{"app":"jacobi","proto":"bar-u","kv":{"ops":100}}`, "kv"},
+		{"unknown kv field", `{"app":"kv","proto":"bar-u","kv":{"bogus":1}}`, "bad request body:"},
+		{"default shards below procs", `{"app":"kv","proto":"bar-u","small":true,"procs":32}`, "kv.shards"},
+		{"explicit zero keys", `{"app":"kv","proto":"bar-u","kv":{"keys":0}}`, "kv.keys"},
 	}
 	for _, tc := range cases {
-		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(tc.body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: %d, want 400", tc.name, resp.StatusCode)
-		}
+		postRejected(t, ts, tc.name, tc.body, tc.want)
 	}
 }
 
@@ -804,9 +812,9 @@ func TestKVLaunchValidation(t *testing.T) {
 func TestKVLaunchRun(t *testing.T) {
 	_, ts := newTestServer(t, config{workers: 1, queueCap: 2, traceCap: 1 << 14})
 	ops := 8000
-	doc := launch(t, ts, runRequest{
-		App: "kv", Proto: "bar-u", Procs: 4, Small: true, Timeline: true,
-		KV: &kvRequest{Ops: &ops, Dist: "zipf=1.2", Mix: "write=0.3,scan=0.05,scanlen=8", Seed: 9},
+	doc := launch(t, ts, apps.Spec{
+		App: "kv", Proto: "bar-u", Procs: ptr(4), Small: true, Timeline: true,
+		KV: &apps.KVSpec{Ops: &ops, Dist: "zipf=1.2", Mix: "write=0.3,scan=0.05,scanlen=8", Seed: ptr[uint64](9)},
 	})
 	final := waitState(t, ts, doc.ID)
 	if final.State != stateDone {

@@ -235,6 +235,8 @@ func TestFaultFlagValidation(t *testing.T) {
 		{"negative delay", []string{"-delay", "-5ms"}, "-delay"},
 		{"zero procs", []string{"-procs", "0"}, "-procs"},
 		{"negative procs", []string{"-procs", "-3"}, "-procs"},
+		{"procs past the copyset bound", []string{"-procs", "1000"}, "-procs"},
+		{"dynamic app under overdrive", []string{"-app", "barnes", "-proto", "bar-s"}, "dynamic"},
 		{"straggler zero factor", []string{"-straggler", "1:0"}, "factor"},
 		{"straggler inert factor", []string{"-straggler", "1:1"}, "factor"},
 		{"straggler negative factor", []string{"-straggler", "1:-2"}, "factor"},
@@ -373,6 +375,7 @@ func TestTransportFlagValidation(t *testing.T) {
 		{"straggler over mem", []string{"-transport", "mem", "-straggler", "1:2"}, "straggler"},
 		{"straggler over udp", []string{"-transport", "udp", "-straggler", "1:2"}, "straggler"},
 		{"seq over transport", []string{"-transport", "mem", "-proto", "seq"}, "seq"},
+		{"crash over mem", []string{"-transport", "mem", "-crash", "2:3"}, "transport mem"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -482,6 +485,7 @@ func TestKVFlagValidation(t *testing.T) {
 		{"mix over one", []string{"-kv-mix", "write=0.7,scan=0.7"}, "exceeds 1"},
 		{"zero scanlen", []string{"-kv-mix", "scanlen=0"}, "scan length"},
 		{"shards below procs", []string{"-procs", "8", "-kv-shards", "4"}, "shard per node"},
+		{"default shards below procs", []string{"-procs", "32"}, "-kv-shards"},
 		{"zero shards", []string{"-procs", "1", "-kv-shards", "0"}, "-kv-shards"},
 		{"zero keys", []string{"-kv-keys", "0"}, "keys"},
 		{"zero streams", []string{"-kv-streams", "0"}, "streams"},

@@ -168,6 +168,27 @@ func TestRunWithOptions(t *testing.T) {
 	}
 }
 
+// TestRunWithRejectsBadPlans: a fault plan the injector would clamp or
+// ignore fails RunWith up front, the same as it fails dsmrun and dsmd.
+func TestRunWithRejectsBadPlans(t *testing.T) {
+	body := func(p *Proc) { p.Barrier() }
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"drop above one", []Option{WithFaults(&FaultPlan{Rules: []FaultRule{{From: AnyNode, To: AnyNode, Drop: 1.5}}})}},
+		{"negative dup", []Option{WithFaults(&FaultPlan{Rules: []FaultRule{{From: AnyNode, To: AnyNode, Dup: -0.5}}})}},
+		{"inert straggler", []Option{WithFaults(&FaultPlan{Stragglers: []StragglerRule{{Node: 1, Factor: 0.5}}})}},
+		{"straggler over mem", []Option{WithTransport("mem"),
+			WithFaults(&FaultPlan{Stragglers: []StragglerRule{{Node: 1, Factor: 2}}})}},
+	} {
+		_, err := RunWith(body, append(tc.opts, WithProcs(4), WithSegmentBytes(4096))...)
+		if err == nil || !strings.Contains(err.Error(), "core: Faults.") {
+			t.Errorf("%s: RunWith returned %v, want the plan rejected up front", tc.name, err)
+		}
+	}
+}
+
 // TestWithMetrics attaches a registry to a run and checks the core
 // counters came out non-zero and labelled with the protocol.
 func TestWithMetrics(t *testing.T) {

@@ -21,7 +21,6 @@ package apps
 
 import (
 	"context"
-	"fmt"
 	"strings"
 
 	"godsm/internal/core"
@@ -55,6 +54,9 @@ type App struct {
 	// BarriersPerIter is the app's phase count, for the applications
 	// table's synchronization-granularity column.
 	BarriersPerIter int
+	// kv is the datastore workload's configuration (nil for the paper's
+	// apps), for the rules that tie it to a cluster (see fits).
+	kv *KVConfig
 }
 
 // RunOpts carries the run options that compose with an App's own
@@ -108,8 +110,8 @@ func (a *App) RunWith(procs int, proto core.ProtocolKind, opts RunOpts) (*core.R
 // simulation events (core.RunContext semantics), which is how a server
 // cancels a session mid-flight.
 func (a *App) RunWithContext(ctx context.Context, procs int, proto core.ProtocolKind, opts RunOpts) (*core.Report, error) {
-	if a.Dynamic && (proto == core.ProtoBarS || proto == core.ProtoBarM) {
-		return nil, fmt.Errorf("apps: %s has a dynamic sharing pattern; %v would abort (the paper excludes it)", a.Name, proto)
+	if err := a.fits(procs, proto); err != nil {
+		return nil, err
 	}
 	cfg := core.Config{
 		Procs:        procs,
@@ -133,14 +135,21 @@ func (a *App) RunWithContext(ctx context.Context, procs int, proto core.Protocol
 	return core.RunContext(ctx, cfg, a.Body)
 }
 
+// fits applies the app's own rules to a cluster: the overdrive protocols
+// abort on a dynamic sharing pattern, and kv has KVConfig.fits.
+func (a *App) fits(procs int, proto core.ProtocolKind) error {
+	if a.Dynamic && (proto == core.ProtoBarS || proto == core.ProtoBarM) {
+		return fieldErr("proto", "%v: %s has a dynamic sharing pattern; the run would abort (the paper excludes it)", proto, a.Name)
+	}
+	if a.kv != nil {
+		return a.kv.fits(procs, proto)
+	}
+	return nil
+}
+
 // RunSeq executes the uniprocessor baseline (synchronization nulled out).
 func (a *App) RunSeq(model *cost.Model) (*core.Report, error) {
 	return a.Run(1, core.ProtoSeq, model)
-}
-
-// RunSeqWith executes the uniprocessor baseline with observability options.
-func (a *App) RunSeqWith(opts RunOpts) (*core.Report, error) {
-	return a.RunWith(1, core.ProtoSeq, opts)
 }
 
 // All returns the paper's eight applications at paper-like scale, in
@@ -189,12 +198,21 @@ func ByName(name string) (*App, error) {
 	if name == "kv" {
 		return KV(KVDefault())
 	}
-	for _, a := range All() {
+	return find(name, false)
+}
+
+// find looks up one of the paper's apps, at reduced size when small.
+func find(name string, small bool) (*App, error) {
+	list := All()
+	if small {
+		list = Small()
+	}
+	for _, a := range list {
 		if a.Name == name {
 			return a, nil
 		}
 	}
-	return nil, fmt.Errorf("apps: unknown application %q (have %s)", name, strings.Join(Names(), ", "))
+	return nil, fieldErr("app", "%q: unknown application (have %s)", name, strings.Join(Names(), ", "))
 }
 
 // --- shared helpers ---------------------------------------------------------

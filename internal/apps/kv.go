@@ -117,39 +117,52 @@ func KVSmall() KVConfig {
 	}
 }
 
-// Validate checks the configuration.
+// Validate checks the configuration. Errors about a field a Spec can set
+// are *FieldErrors naming it (kv.keys, kv.shards, ...).
 func (cfg KVConfig) Validate() error {
-	if cfg.Keys < 1 {
-		return fmt.Errorf("apps: kv: %d keys out of range (want >= 1)", cfg.Keys)
-	}
-	if cfg.Keys > 1<<24 {
-		return fmt.Errorf("apps: kv: %d keys out of range (want <= %d)", cfg.Keys, 1<<24)
+	if cfg.Keys < 1 || cfg.Keys > 1<<24 {
+		return fieldErr("kv.keys", "%d: out of range (want 1..%d)", cfg.Keys, 1<<24)
 	}
 	if cfg.Shards < 1 || cfg.Shards > cfg.Keys {
-		return fmt.Errorf("apps: kv: %d shards out of range (want 1..keys=%d)", cfg.Shards, cfg.Keys)
+		return fieldErr("kv.shards", "%d: out of range (want 1..keys=%d)", cfg.Shards, cfg.Keys)
 	}
 	if cfg.Streams < 1 || cfg.Streams > 1<<12 {
-		return fmt.Errorf("apps: kv: %d streams out of range (want 1..%d)", cfg.Streams, 1<<12)
+		return fieldErr("kv.streams", "%d: out of range (want 1..%d)", cfg.Streams, 1<<12)
 	}
 	if cfg.Ops < 0 {
-		return fmt.Errorf("apps: kv: op budget %d out of range (want >= 0)", cfg.Ops)
+		return fieldErr("kv.ops", "%d: the op budget cannot be negative", cfg.Ops)
 	}
 	if cfg.Warm < 3 {
 		return fmt.Errorf("apps: kv: %d warm epochs out of range (want >= 3: init, home migration and overdrive learning)", cfg.Warm)
 	}
 	if cfg.Measure < 1 {
-		return fmt.Errorf("apps: kv: %d measured epochs out of range (want >= 1)", cfg.Measure)
+		return fieldErr("kv.epochs", "%d: want at least 1 measured epoch", cfg.Measure)
 	}
 	if cfg.StatsEvery < 1 {
-		return fmt.Errorf("apps: kv: stats period %d out of range (want >= 1)", cfg.StatsEvery)
+		return fieldErr("kv.stats_every", "%d: the stats period must be >= 1", cfg.StatsEvery)
 	}
 	if cfg.OpCost < 0 {
 		return fmt.Errorf("apps: kv: op cost %v out of range (want >= 0)", cfg.OpCost)
 	}
 	if err := cfg.Dist.Validate(); err != nil {
-		return err
+		return fieldErr("kv.dist", "%v: %v", cfg.Dist, err)
 	}
-	return cfg.Mix.Validate()
+	if err := cfg.Mix.Validate(); err != nil {
+		return fieldErr("kv.mix", "%v: %v", cfg.Mix, err)
+	}
+	return nil
+}
+
+// fits holds the workload to a cluster: every node owns a shard, and
+// per-shard locks need a protocol with lock primitives.
+func (cfg *KVConfig) fits(procs int, proto core.ProtocolKind) error {
+	if cfg.Shards < procs {
+		return fieldErr("kv.shards", "%d: want at least one shard per node (%s %d)", cfg.Shards, field("procs"), procs)
+	}
+	if cfg.Locks && proto != core.ProtoLmwI && proto != core.ProtoLmwU && proto != core.ProtoSeq {
+		return fieldErr("kv.locks", "needs a homeless protocol (lmw-i, lmw-u); %v is barrier-only", proto)
+	}
+	return nil
 }
 
 // kvLayout maps keys to (shard, slot, page) for one page size. Every
@@ -288,6 +301,7 @@ func KV(cfg KVConfig) (*App, error) {
 		Warm:            cfg.Warm,
 		Measure:         cfg.Measure,
 		BarriersPerIter: 2,
+		kv:              &cfg,
 		Body: func(p *core.Proc) {
 			np, me := p.NumProcs(), p.ID()
 			lay := newKVLayout(cfg, p.PageSize())

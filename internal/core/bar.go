@@ -275,7 +275,7 @@ func (b *bar) writeFault(pg vm.PageID) {
 		// Overdrive missed this write: the access pattern diverged. The
 		// prototype "complains loudly and exits". Adaptive mode instead
 		// falls through to the ordinary trapping path below, which is
-		// what makes it legal on dynamic sharing patterns.
+		// what makes it legal when the sharing pattern drifts.
 		n.fatal("%v: unpredicted write to page %d during overdrive (sharing pattern diverged)",
 			n.clu.cfg.Protocol, pg)
 	}

@@ -106,7 +106,7 @@ func (m *barMgr) maybeRelease(n0 *node) {
 		return
 	}
 	// Reference arrival: the lowest-numbered node present this episode.
-	// Node 0 cannot crash, but it can be done while a restarted node
+	// Node 0 never crashes, but it can be done while a restarted node
 	// drains its missed iterations, so arrivals[0] may be nil.
 	var ref *barArrive
 	for _, ar := range m.arrivals {

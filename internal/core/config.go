@@ -242,15 +242,103 @@ type Checker interface {
 	Finish() error
 }
 
-func (c *Config) fill() error {
-	if c.Procs <= 0 {
-		return fmt.Errorf("core: Procs = %d", c.Procs)
+// A ConfigError is a Config that Validate rejects. Field names the
+// offending field as a Go path from Config ("Procs", "Transport",
+// "Faults.Rules[0].Drop", "Faults.Crashes"); Msg says what is wrong with
+// it, starting from the offending value.
+type ConfigError struct {
+	Field, Msg string
+}
+
+func (e *ConfigError) Error() string { return "core: " + e.Field + " " + e.Msg }
+
+func invalid(field, format string, args ...any) error {
+	return &ConfigError{Field: field, Msg: fmt.Sprintf(format, args...)}
+}
+
+// Validate reports the first rule c breaks, as a *ConfigError, without
+// running anything; Run applies the same rules before it starts. It
+// normalizes Transport: a virtual backend's name ("sim") becomes "", the
+// simulator.
+func (c *Config) Validate() error {
+	if c.Procs < 1 {
+		return invalid("Procs", "%d: cluster needs at least 1 node", c.Procs)
 	}
 	if c.Procs > MaxNodes {
-		return fmt.Errorf("core: Procs = %d exceeds the %d-node copyset bound", c.Procs, MaxNodes)
+		return invalid("Procs", "%d: exceeds the %d-node copyset bound", c.Procs, MaxNodes)
 	}
 	if c.SegmentBytes <= 0 {
-		return fmt.Errorf("core: SegmentBytes = %d", c.SegmentBytes)
+		return invalid("SegmentBytes", "%d: the shared segment needs at least one byte", c.SegmentBytes)
+	}
+	if c.Transport != "" {
+		e, ok := transport.Lookup(c.Transport)
+		if !ok {
+			return invalid("Transport", "%q: unknown backend (have %s)",
+				c.Transport, strings.Join(transport.Names(), ", "))
+		}
+		if e.Virtual {
+			// "sim" (and any other virtual backend) is the DES kernel
+			// itself; normalize so the engine takes the simulated path.
+			c.Transport = ""
+		}
+	}
+	if c.Transport != "" && c.Protocol == ProtoSeq {
+		return invalid("Transport", "%s needs a parallel protocol; seq has no remote traffic", c.Transport)
+	}
+	if c.BarrierFanout < 0 {
+		return invalid("BarrierFanout", "%d: want >= 0", c.BarrierFanout)
+	}
+	if c.BarrierFanout != 0 && c.Transport != "" {
+		return invalid("BarrierFanout", "%d requires the simulated transport (got %s)", c.BarrierFanout, c.Transport)
+	}
+	if err := validateFaults(c); err != nil {
+		return err
+	}
+	return validateCrashes(c)
+}
+
+// validateFaults rejects fault rules the injector would clamp or ignore,
+// so a plan never measures something other than what it asks for.
+func validateFaults(c *Config) error {
+	if c.Faults == nil {
+		return nil
+	}
+	for i, r := range c.Faults.Rules {
+		for _, p := range []struct {
+			name string
+			val  float64
+		}{{"Drop", r.Drop}, {"Dup", r.Dup}, {"Reorder", r.Reorder}} {
+			if !(p.val >= 0 && p.val <= 1) {
+				return invalid(fmt.Sprintf("Faults.Rules[%d].%s", i, p.name), "%g: must be a probability in [0, 1]", p.val)
+			}
+		}
+		if r.Delay < 0 {
+			return invalid(fmt.Sprintf("Faults.Rules[%d].Delay", i), "%dns: extra latency cannot be negative", r.Delay)
+		}
+	}
+	for _, s := range c.Faults.Stragglers {
+		switch {
+		case c.Transport != "":
+			// Stragglers multiply modeled compute time, which only exists
+			// under the virtual clock.
+			return invalid("Faults.Stragglers", "works only under the sim clock; transport %s measures wall time", c.Transport)
+		case s.Node != netsim.AnyNode && (s.Node < 0 || s.Node >= c.Procs):
+			return invalid("Faults.Stragglers", "node %d: cluster has nodes 0..%d (or %d for all)", s.Node, c.Procs-1, netsim.AnyNode)
+		case !(s.Factor > 1):
+			return invalid("Faults.Stragglers", "node %d factor %g: must exceed 1 (it multiplies compute time)", s.Node, s.Factor)
+		case s.FromEpoch < 0:
+			return invalid("Faults.Stragglers", "node %d fromEpoch %d: epochs start at 0", s.Node, s.FromEpoch)
+		case s.ToEpoch != 0 && s.ToEpoch < s.FromEpoch:
+			return invalid("Faults.Stragglers", "node %d window [%d, %d] is empty: toEpoch must be 0 (open) or at least fromEpoch",
+				s.Node, s.FromEpoch, s.ToEpoch)
+		}
+	}
+	return nil
+}
+
+func (c *Config) fill() error {
+	if err := c.Validate(); err != nil {
+		return err
 	}
 	if c.Model == nil {
 		c.Model = cost.Default()
@@ -263,27 +351,6 @@ func (c *Config) fill() error {
 	}
 	if c.RetryTimeout == 0 {
 		c.RetryTimeout = 5 * sim.Millisecond
-	}
-	if c.Transport != "" {
-		e, ok := transport.Lookup(c.Transport)
-		if !ok {
-			return fmt.Errorf("core: unknown transport %q (have %s)",
-				c.Transport, strings.Join(transport.Names(), ", "))
-		}
-		if e.Virtual {
-			// "sim" (and any other virtual backend) is the DES kernel
-			// itself; normalize so the engine takes the simulated path.
-			c.Transport = ""
-		}
-	}
-	if c.BarrierFanout < 0 {
-		return fmt.Errorf("core: BarrierFanout = %d", c.BarrierFanout)
-	}
-	if c.BarrierFanout != 0 && c.Transport != "" {
-		return fmt.Errorf("core: BarrierFanout requires the simulated transport (got Transport=%q)", c.Transport)
-	}
-	if err := validateCrashes(c); err != nil {
-		return err
 	}
 	return nil
 }

@@ -148,23 +148,30 @@ func validateCrashes(cfg *Config) error {
 		return nil
 	}
 	if cfg.Protocol == ProtoSeq {
-		return fmt.Errorf("core: crash rules require a DSM protocol, not seq")
+		return invalid("Faults.Crashes", "with protocol seq: crash rules need a DSM protocol, not seq (seq has no cluster to crash)")
 	}
 	if cfg.LmwGCBarriers > 0 {
-		return fmt.Errorf("core: crash rules are incompatible with LmwGCBarriers: recovery replays interval history the collector would discard")
+		return invalid("LmwGCBarriers", "%d: incompatible with crash rules: recovery replays interval history the collector would discard", cfg.LmwGCBarriers)
 	}
 	seen := make(map[int]bool)
 	for _, r := range plan.Crashes {
 		if r.Node <= 0 || r.Node >= cfg.Procs {
-			return fmt.Errorf("core: crash rule node %d out of range [1, %d] (node 0 hosts the barrier manager and cannot crash)", r.Node, cfg.Procs-1)
-		}
-		if r.Epoch < 1 {
-			return fmt.Errorf("core: crash rule for node %d: epoch %d must be >= 1", r.Node, r.Epoch)
+			return invalid("Faults.Crashes", "node %d out of range: cluster has nodes 0..%d, and node 0 hosts the barrier manager and the reduction root; it cannot crash",
+				r.Node, cfg.Procs-1)
 		}
 		if seen[r.Node] {
-			return fmt.Errorf("core: node %d has more than one crash rule", r.Node)
+			return invalid("Faults.Crashes", "node %d appears twice: more than one crash rule per node", r.Node)
 		}
 		seen[r.Node] = true
+		if r.Epoch < 1 {
+			return invalid("Faults.Crashes", "node %d epoch %d: the first crashable barrier is epoch 1 (epoch 0 is initialization)", r.Node, r.Epoch)
+		}
+		if cfg.Transport != "" && r.RestartAfter != 0 {
+			// Over a real transport the survivors' requests to a node that
+			// stays down go unanswered until their retries run out.
+			return invalid("Faults.Crashes", "node %d: transport %s supports only in-place restarts (a restart after 0 epochs); a node that stays down stalls the survivors",
+				r.Node, cfg.Transport)
+		}
 	}
 	return nil
 }

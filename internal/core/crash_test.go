@@ -59,6 +59,18 @@ func TestCrashRuleValidation(t *testing.T) {
 			cfg.Faults = crashFaults(netsim.CrashRule{Node: 1, Epoch: 3})
 			return cfg
 		}, "LmwGCBarriers"},
+		{"never restarts over mem", func() Config {
+			cfg := stencilConfig(4, ProtoBarU)
+			cfg.Transport = "mem"
+			cfg.Faults = crashFaults(netsim.CrashRule{Node: 2, Epoch: 3, RestartAfter: -1})
+			return cfg
+		}, "transport mem"},
+		{"delayed restart over udp", func() Config {
+			cfg := stencilConfig(4, ProtoBarI)
+			cfg.Transport = "udp"
+			cfg.Faults = crashFaults(netsim.CrashRule{Node: 2, Epoch: 3, RestartAfter: 1})
+			return cfg
+		}, "transport udp"},
 	}
 	for _, tc := range cases {
 		_, err := Run(tc.cfg(), body)
